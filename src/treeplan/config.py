@@ -6,6 +6,7 @@ identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -24,7 +25,18 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_dumps(obj).encode()).hexdigest()[:16]
 
 
+def _keys(doc, allowed, where: str) -> dict:
+    """doc itself, after checking it is an object with no key outside allowed."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in {where}: {', '.join(map(str, unknown))}")
+    return doc
+
+
 def _state_from(d: dict) -> AgentState:
+    _keys(d, ("x", "y", "v", "psi"), "state")
     return AgentState(x=float(d["x"]), y=float(d["y"]), v=float(d["v"]), psi=float(d["psi"]))
 
 
@@ -33,6 +45,7 @@ def _state_to(s: AgentState) -> dict:
 
 
 def _footprint_from(d: dict) -> Footprint:
+    _keys(d, ("length", "width"), "footprint")
     return Footprint(length=float(d["length"]), width=float(d["width"]))
 
 
@@ -57,20 +70,25 @@ class ScenarioSpec:
 
 def parse_scenario(doc: dict) -> ScenarioSpec:
     try:
-        lanes = tuple(
-            Lane(
-                id=str(l["id"]),
-                centerline=l["centerline"],
-                speed_limit=float(l.get("speed_limit", 13.0)),
-                successors=tuple(l.get("successors", ())),
+        _keys(doc, ("name", "map", "ego", "agents"), "scenario")
+        map_doc = _keys(doc["map"], ("lanes", "drivable_area"), "map")
+        lanes = []
+        for l in map_doc["lanes"]:
+            _keys(l, ("id", "centerline", "speed_limit", "successors"), "lane")
+            lanes.append(
+                Lane(
+                    id=str(l["id"]),
+                    centerline=l["centerline"],
+                    speed_limit=float(l.get("speed_limit", 13.0)),
+                    successors=tuple(l.get("successors", ())),
+                )
             )
-            for l in doc["map"]["lanes"]
-        )
-        lane_map = LaneGraph(lanes=lanes, drivable_area=tuple(doc["map"]["drivable_area"]))
-        ego = doc["ego"]
+        lane_map = LaneGraph(lanes=tuple(lanes), drivable_area=tuple(map_doc["drivable_area"]))
+        ego = _keys(doc["ego"], ("state", "footprint", "goal"), "ego")
         agents = []
         seen = set()
         for a in doc.get("agents", ()):
+            _keys(a, ("id", "state", "footprint", "behavior"), "agent")
             aid = str(a["id"])
             if aid in seen:
                 raise ScenarioError(f"duplicate agent id {aid}")
@@ -167,10 +185,22 @@ class PlannerConfig:
     seed: int = 0
 
 
+_CONFIG_KEYS = ("sampler", "limits", "schedule", "predictor", "cost", "planner", "ncr_worst_case", "sim", "seed")
+_SAMPLER_KEYS = ("accel_grid", "yaw_rate_grid", "speed_grid", "lateral_offsets", "max_children")
+_SCHEDULE_KEYS = ("num_stages", "stage_duration", "dt")
+_COST_KEYS = ("w_collision", "w_lane", "w_goal", "w_comfort", "collision_scale")
+_PREDICTOR_KINDS = ("kinematic",)
+
+
+def _fields(cls, *exclude) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in exclude)
+
+
 def parse_planner_config(doc: dict) -> PlannerConfig:
     try:
-        s = doc.get("sampler", {})
-        limits = DynamicsLimits(**doc.get("limits", {}))
+        _keys(doc, _CONFIG_KEYS, "planner config")
+        s = _keys(doc.get("sampler", {}), _SAMPLER_KEYS, "sampler")
+        limits = DynamicsLimits(**_keys(doc.get("limits", {}), _fields(DynamicsLimits), "limits"))
         sampler = SamplerConfig(
             accel_grid=tuple(s.get("accel_grid", SamplerConfig.accel_grid)),
             yaw_rate_grid=tuple(s.get("yaw_rate_grid", SamplerConfig.yaw_rate_grid)),
@@ -179,14 +209,16 @@ def parse_planner_config(doc: dict) -> PlannerConfig:
             max_children=int(s.get("max_children", SamplerConfig.max_children)),
             limits=limits,
         )
-        sched = doc.get("schedule", {})
+        sched = _keys(doc.get("schedule", {}), _SCHEDULE_KEYS, "schedule")
         schedule = StageSchedule.uniform(
             num_stages=int(sched.get("num_stages", 2)),
             stage_duration=float(sched.get("stage_duration", 2.0)),
             dt=float(sched.get("dt", 0.1)),
         )
-        predictor = PredictorConfig(**doc.get("predictor", {}))
-        w = doc.get("cost", {})
+        predictor = PredictorConfig(**_keys(doc.get("predictor", {}), _fields(PredictorConfig), "predictor"))
+        if predictor.kind not in _PREDICTOR_KINDS:
+            raise ScenarioError(f"unknown predictor kind {predictor.kind!r}")
+        w = _keys(doc.get("cost", {}), _COST_KEYS, "cost")
         weights = CostWeights(
             w_collision=float(w.get("w_collision", CostWeights.w_collision)),
             w_lane=float(w.get("w_lane", CostWeights.w_lane)),
@@ -194,9 +226,9 @@ def parse_planner_config(doc: dict) -> PlannerConfig:
             w_comfort=float(w.get("w_comfort", CostWeights.w_comfort)),
             collision_scale=float(w.get("collision_scale", CostWeights.collision_scale)),
         )
-        sim_doc = dict(doc.get("sim", {}))
-        spawn = SpawnConfig(**sim_doc.pop("spawn", {}))
-        ou = OUParams(**sim_doc.pop("ou", {}))
+        sim_doc = dict(_keys(doc.get("sim", {}), _fields(SimConfig, "seed"), "sim"))
+        spawn = SpawnConfig(**_keys(sim_doc.pop("spawn", {}), _fields(SpawnConfig), "sim.spawn"))
+        ou = OUParams(**_keys(sim_doc.pop("ou", {}), _fields(OUParams), "sim.ou"))
         seed = int(doc.get("seed", 0))
         sim = SimConfig(spawn=spawn, ou=ou, seed=seed, **sim_doc)
         return PlannerConfig(

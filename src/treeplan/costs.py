@@ -26,6 +26,7 @@ from .world import (
     project_to_lane,
     project_to_lane_batch,
     wrap_angle,
+    wrap_angles,
 )
 
 DEFAULT_FOOTPRINT = Footprint(length=4.6, width=1.8)
@@ -114,12 +115,15 @@ def ego_per_sample_cost(
     """Per-sample running cost of the terms that depend on the ego alone:
     lane keeping, goal progress, and comfort. Shared across every scenario
     node evaluated against the same ego segment."""
-    n = len(ego_segment.samples)
-    xs, ys, vs, psis = ego_segment.arrays()
+    return _ego_terms(ego_segment.arrays(), ego_segment.dt, lane_map, weights, goal_norm)
+
+
+def _ego_terms(arrays, dt, lane_map, weights, goal_norm):
+    xs, ys, vs, psis = arrays
+    n = len(xs)
     per_sample = np.zeros(n)
     if n < 2:
         return per_sample
-    dt = ego_segment.dt
 
     if weights.w_lane > 0 and lane_map is not None and lane_map.lanes:
         lat, herr = _lane_errors_batch(xs, ys, psis, lane_map)
@@ -131,12 +135,71 @@ def ego_per_sample_cost(
 
     if weights.w_comfort > 0:
         acc = np.diff(vs) / dt
-        dpsi = np.array([wrap_angle(d) for d in np.diff(psis)])
-        yaw = dpsi / dt
+        yaw = wrap_angles(np.diff(psis)) / dt
         acc = np.append(acc, acc[-1])
         yaw = np.append(yaw, yaw[-1])
         per_sample += weights.w_comfort * (acc**2 + yaw**2)
     return per_sample
+
+
+class _ArrayCache:
+    """Trajectory.arrays() built once per trajectory object within one build."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def __call__(self, traj: Trajectory):
+        hit = self._arrays.get(id(traj))
+        if hit is None:
+            # keep traj alive so its id is not reused while the cache lives
+            hit = self._arrays[id(traj)] = (traj, traj.arrays())
+        return hit[1]
+
+
+def _stage_costs(
+    ego_segment: Trajectory,
+    env_nodes,
+    lane_map: LaneGraph | None,
+    weights: CostWeights,
+    ego_fp: Footprint,
+    agent_fps: dict,
+    goal_norm: float,
+    ego_terms: np.ndarray | None,
+    arrays: _ArrayCache,
+) -> np.ndarray:
+    """Stage costs of one ego segment against S same-stage scenario nodes.
+
+    Each agent's samples are stacked over the nodes that carry it into (S, n)
+    arrays, so one clearance call covers the agent in every node; terms add up
+    per node in the node's own agent order. Returns shape (S,).
+    """
+    n = len(ego_segment.samples)
+    dt = ego_segment.dt
+    for node in env_nodes:
+        for aid, traj in node.agent_trajectories.items():
+            if len(traj.samples) != n or abs(traj.dt - dt) > 1e-12:
+                raise ScheduleMismatch(f"agent {aid} support differs from ego segment")
+    if n < 2:
+        return np.zeros(len(env_nodes))
+
+    xs, ys, vs, psis = arrays(ego_segment)
+    if ego_terms is None:
+        ego_terms = _ego_terms((xs, ys, vs, psis), dt, lane_map, weights, goal_norm)
+    per_sample = np.tile(np.asarray(ego_terms, dtype=float), (len(env_nodes), 1))
+
+    if weights.w_collision > 0:
+        groups: dict = {}  # agent order -> rows of the nodes that share it
+        for row, node in enumerate(env_nodes):
+            groups.setdefault(tuple(node.agent_trajectories), []).append(row)
+        for aids, rows in groups.items():
+            for aid in aids:
+                # (S, 4, n): x, y, v, psi of the agent in each node
+                a = np.array([arrays(env_nodes[r].agent_trajectories[aid]) for r in rows])
+                fp = agent_fps.get(aid, DEFAULT_FOOTPRINT)
+                d = obb_clearance(xs, ys, psis, ego_fp, a[:, 0], a[:, 1], a[:, 3], fp)
+                per_sample[rows] += weights.w_collision * np.exp(-d / weights.collision_scale)
+
+    return np.trapezoid(per_sample, dx=dt, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -160,28 +223,11 @@ def stage_cost(
     same sample count and dt. Zero-duration (root) segments cost 0.
     ego_terms optionally carries a precomputed ego_per_sample_cost array.
     """
-    agent_fps = agent_fps or {}
-    n = len(ego_segment.samples)
-    dt = ego_segment.dt
-    for aid, traj in env_node.agent_trajectories.items():
-        if len(traj.samples) != n or abs(traj.dt - dt) > 1e-12:
-            raise ScheduleMismatch(f"agent {aid} support differs from ego segment")
-    if n < 2:
-        return StageCost(0.0)
-
-    xs, ys, vs, psis = ego_segment.arrays()
-    if ego_terms is None:
-        ego_terms = ego_per_sample_cost(ego_segment, lane_map, weights, goal_norm)
-    per_sample = np.array(ego_terms, dtype=float, copy=True)
-
-    if weights.w_collision > 0:
-        for aid, traj in env_node.agent_trajectories.items():
-            ax, ay, _, apsi = traj.arrays()
-            fp = agent_fps.get(aid, DEFAULT_FOOTPRINT)
-            d = obb_clearance(xs, ys, psis, ego_fp, ax, ay, apsi, fp)
-            per_sample += weights.w_collision * np.exp(-d / weights.collision_scale)
-
-    return StageCost(float(np.trapezoid(per_sample, dx=dt)))
+    costs = _stage_costs(
+        ego_segment, [env_node], lane_map, weights, ego_fp, agent_fps or {}, goal_norm,
+        ego_terms, _ArrayCache(),
+    )
+    return StageCost(float(costs[0]))
 
 
 @dataclass(frozen=True)
@@ -207,6 +253,13 @@ def _goal_norm(tree: TrajectoryTree, weights: CostWeights) -> float:
     return max(1.0, math.hypot(root.x - weights.goal[0], root.y - weights.goal[1]))
 
 
+def _tensor_entries(values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps, norm, arrays):
+    costs = _stage_costs(
+        ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps, norm, None, arrays
+    )
+    values.update(zip(((ego_node.id, scen.path) for scen in scen_nodes), costs.tolist()))
+
+
 def build_cost_tensor(
     tree: TrajectoryTree,
     scenario: ScenarioTree,
@@ -217,15 +270,14 @@ def build_cost_tensor(
 ) -> CostTensor:
     """Costs for every same-stage pair of one ego tree and one scenario tree."""
     norm = _goal_norm(tree, weights)
+    arrays = _ArrayCache()
     values = {}
     for stage in range(min(tree.max_stage, scenario.max_stage) + 1):
         scen_nodes = scenario.stage_nodes(stage)
         for ego_node in tree.stage_nodes(stage):
-            terms = ego_per_sample_cost(ego_node.segment, lane_map, weights, norm)
-            for scen in scen_nodes:
-                values[(ego_node.id, scen.path)] = stage_cost(
-                    ego_node.segment, scen, lane_map, weights, ego_fp, agent_fps, norm, terms
-                ).value
+            _tensor_entries(
+                values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
+            )
     return CostTensor(values)
 
 
@@ -240,15 +292,15 @@ def build_cost_tensor_ec(
     """Costs for ego nodes against the scenario tree their mode resolves to.
 
     Causal consistency makes the per-node mode resolution immaterial: any two
-    trees through a shared ego prefix carry identical nodes there.
+    trees through a shared ego prefix carry identical nodes there. Each ego
+    node is evaluated against all scenario nodes of its stage at once.
     """
     norm = _goal_norm(tree, weights)
+    arrays = _ArrayCache()
     values = {}
     for ego_node in tree.nodes:
-        scen_tree = ensemble.tree_for_ego_node(ego_node.id)
-        terms = ego_per_sample_cost(ego_node.segment, lane_map, weights, norm)
-        for scen in scen_tree.stage_nodes(ego_node.stage):
-            values[(ego_node.id, scen.path)] = stage_cost(
-                ego_node.segment, scen, lane_map, weights, ego_fp, agent_fps, norm, terms
-            ).value
+        scen_nodes = ensemble.tree_for_ego_node(ego_node.id).stage_nodes(ego_node.stage)
+        _tensor_entries(
+            values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
+        )
     return CostTensor(values)

@@ -64,6 +64,15 @@ class ScenarioNode:
 class ScenarioTree:
     nodes: dict  # path -> ScenarioNode
     schedule: StageSchedule
+    _by_stage: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # copied, so later edits to the caller's dict cannot stale the index
+        object.__setattr__(self, "nodes", dict(self.nodes))
+        by_stage: dict = {}
+        for node in sorted(self.nodes.values(), key=lambda n: n.path):
+            by_stage.setdefault(node.stage, []).append(node)
+        object.__setattr__(self, "_by_stage", {k: tuple(v) for k, v in by_stage.items()})
 
     @property
     def root(self) -> ScenarioNode:
@@ -77,14 +86,13 @@ class ScenarioTree:
             j += 1
         return out
 
-    def stage_nodes(self, stage: int) -> list:
-        return sorted(
-            (n for n in self.nodes.values() if n.stage == stage), key=lambda n: n.path
-        )
+    def stage_nodes(self, stage: int) -> tuple:
+        """Nodes of one stage in path order."""
+        return self._by_stage.get(stage, ())
 
     @property
     def max_stage(self) -> int:
-        return max(n.stage for n in self.nodes.values())
+        return max(self._by_stage)
 
     def leaf_paths_with_probability(self) -> list:
         """(path, probability) for every root-to-leaf path."""

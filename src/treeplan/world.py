@@ -23,6 +23,12 @@ def wrap_angle(psi: float) -> float:
     return psi
 
 
+def wrap_angles(psi: np.ndarray) -> np.ndarray:
+    """wrap_angle over an array, with the same (-pi, pi] convention."""
+    psi = np.fmod(psi, TWO_PI)
+    return np.where(psi > math.pi, psi - TWO_PI, np.where(psi <= -math.pi, psi + TWO_PI, psi))
+
+
 @dataclass(frozen=True)
 class AgentState:
     """Planar kinematic state: position, speed (>= 0), heading in (-pi, pi]."""
@@ -209,11 +215,6 @@ class LaneGraph:
 # dynamics
 
 
-def _unicycle_deriv(state: np.ndarray, a: float, omega: float) -> np.ndarray:
-    x, y, v, psi = state
-    return np.array([v * math.cos(psi), v * math.sin(psi), a, omega])
-
-
 def integrate_unicycle(
     state: AgentState,
     u: UnicycleInput,
@@ -229,15 +230,23 @@ def integrate_unicycle(
         raise ValueError("dt must be positive")
     n_sub = max(1, int(math.ceil(dt / 0.1 - 1e-12)))
     h = dt / n_sub
-    s = state.as_array()
+    a, omega = u.a, u.omega
+    x, y, v, psi = state.x, state.y, state.v, state.psi
     for _ in range(n_sub):
-        k1 = _unicycle_deriv(s, u.a, u.omega)
-        k2 = _unicycle_deriv(s + 0.5 * h * k1, u.a, u.omega)
-        k3 = _unicycle_deriv(s + 0.5 * h * k2, u.a, u.omega)
-        k4 = _unicycle_deriv(s + h * k3, u.a, u.omega)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s[2] = min(max(s[2], 0.0), limits.v_max)
-    return AgentState(s[0], s[1], s[2], wrap_angle(s[3]))
+        # the derivative (v cos psi, v sin psi, a, omega) depends on v and psi
+        # alone, and both advance at constant rates, so k3 equals k2; the sums
+        # keep the order of the vector form k1 + 2 k2 + 2 k3 + k4
+        v_mid, psi_mid = v + 0.5 * h * a, psi + 0.5 * h * omega
+        v_end, psi_end = v + h * a, psi + h * omega
+        dx1, dy1 = v * math.cos(psi), v * math.sin(psi)
+        dx2, dy2 = v_mid * math.cos(psi_mid), v_mid * math.sin(psi_mid)
+        dx4, dy4 = v_end * math.cos(psi_end), v_end * math.sin(psi_end)
+        x = x + (h / 6.0) * (dx1 + 2 * dx2 + 2 * dx2 + dx4)
+        y = y + (h / 6.0) * (dy1 + 2 * dy2 + 2 * dy2 + dy4)
+        v = v + (h / 6.0) * (a + 2 * a + 2 * a + a)
+        psi = psi + (h / 6.0) * (omega + 2 * omega + 2 * omega + omega)
+        v = min(max(v, 0.0), limits.v_max)
+    return AgentState(x, y, v, wrap_angle(psi))
 
 
 def rollout_unicycle(
@@ -299,18 +308,21 @@ def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray, axes: np.ndarray):
     return ~np.any(sep, axis=-1)
 
 
-def _point_segment_distance(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray):
-    """Distances from points (..., p, 2) to segments (..., q, 2)-(..., q, 2).
+def _corners_in_frame(cu, cv, c, s, fp: Footprint):
+    """Corners of a box with centre (cu, cv) and heading atan2(s, c) in
+    another box's body frame: two arrays of shape (4, ...)."""
+    shape = (4,) + (1,) * np.ndim(cu)
+    lx = (fp.length / 2.0) * np.array([1.0, 1.0, -1.0, -1.0]).reshape(shape)
+    ly = (fp.width / 2.0) * np.array([1.0, -1.0, -1.0, 1.0]).reshape(shape)
+    return cu + c * lx - s * ly, cv + s * lx + c * ly
 
-    Returns (..., p, q).
-    """
-    d = seg_b - seg_a  # (..., q, 2)
-    len2 = np.maximum(np.sum(d * d, axis=-1), 1e-300)  # (..., q)
-    ap = points[..., :, None, :] - seg_a[..., None, :, :]  # (..., p, q, 2)
-    t = np.clip(np.sum(ap * d[..., None, :, :], axis=-1) / len2[..., None, :], 0.0, 1.0)
-    closest = seg_a[..., None, :, :] + t[..., None] * d[..., None, :, :]
-    diff = points[..., :, None, :] - closest
-    return np.hypot(diff[..., 0], diff[..., 1])
+
+def _corner_box_distance(u, v, fp: Footprint):
+    """Least distance of the four corners (u, v), shape (4, ...), to the box
+    fp centred at the origin and aligned with the axes."""
+    du = np.maximum(np.abs(u) - fp.length / 2.0, 0.0)
+    dv = np.maximum(np.abs(v) - fp.width / 2.0, 0.0)
+    return np.hypot(du, dv).min(axis=0)
 
 
 def obb_clearance(
@@ -319,17 +331,33 @@ def obb_clearance(
     """Clearance between two oriented boxes; 0 when overlapping.
 
     All pose arguments broadcast; returns an array (or scalar) of distances.
+    Each box's corners are mapped into the other's body frame. There the
+    separating-axis test on the four face normals is an interval check on the
+    corner coordinates, and the distance between disjoint boxes is the least
+    of the eight closed-form corner-to-box distances. Touching boxes count as
+    overlapping.
     """
-    ca = footprint_corners(x_a, y_a, psi_a, fp_a)
-    cb = footprint_corners(x_b, y_b, psi_b, fp_b)
-    psi_a, psi_b = np.broadcast_arrays(np.asarray(psi_a, float), np.asarray(psi_b, float))
-    axes = np.concatenate([_box_axes(psi_a), _box_axes(psi_b)], axis=-2)
-    hit = obb_overlap(ca, cb, axes)
-    ea, eb = np.roll(ca, -1, axis=-2), np.roll(cb, -1, axis=-2)
-    d_ab = _point_segment_distance(ca, cb, eb).min(axis=(-1, -2))
-    d_ba = _point_segment_distance(cb, ca, ea).min(axis=(-1, -2))
-    dist = np.minimum(d_ab, d_ba)
-    return np.where(hit, 0.0, dist)
+    dx = np.subtract(x_b, x_a, dtype=float)
+    dy = np.subtract(y_b, y_a, dtype=float)
+    psi_a = np.asarray(psi_a, dtype=float)
+    psi_b = np.asarray(psi_b, dtype=float)
+    ca, sa = np.cos(psi_a), np.sin(psi_a)
+    cb, sb = np.cos(psi_b), np.sin(psi_b)
+    c = ca * cb + sa * sb  # cos(psi_b - psi_a)
+    s = ca * sb - sa * cb  # sin(psi_b - psi_a)
+    dx, dy, c, s = np.broadcast_arrays(dx, dy, c, s)
+    ub, vb = _corners_in_frame(ca * dx + sa * dy, ca * dy - sa * dx, c, s, fp_b)
+    ua, va = _corners_in_frame(-(cb * dx + sb * dy), sb * dx - cb * dy, c, -s, fp_a)
+    hla, hwa = fp_a.length / 2.0, fp_a.width / 2.0
+    hlb, hwb = fp_b.length / 2.0, fp_b.width / 2.0
+    sep = (
+        (ub.min(axis=0) > hla) | (ub.max(axis=0) < -hla)
+        | (vb.min(axis=0) > hwa) | (vb.max(axis=0) < -hwa)
+        | (ua.min(axis=0) > hlb) | (ua.max(axis=0) < -hlb)
+        | (va.min(axis=0) > hwb) | (va.max(axis=0) < -hwb)
+    )
+    dist = np.minimum(_corner_box_distance(ub, vb, fp_a), _corner_box_distance(ua, va, fp_b))
+    return np.where(sep, dist, 0.0)
 
 
 def check_collision(

@@ -1,0 +1,139 @@
+"""Strict parsing of scenario and planner-config documents."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from treeplan.cli import EXIT_VALIDATION, main
+from treeplan.config import load_planner_config, load_scenario, parse_planner_config, parse_scenario
+from treeplan.errors import ScenarioError
+
+REPO = Path(__file__).resolve().parents[1]
+
+SCENARIO = {
+    "name": "mini",
+    "map": {
+        "lanes": [{"id": "L0", "centerline": [[0.0, 0.0], [100.0, 0.0]], "speed_limit": 12.0, "successors": []}],
+        "drivable_area": [[[0.0, -2.0], [100.0, -2.0], [100.0, 2.0], [0.0, 2.0]]],
+    },
+    "ego": {
+        "state": {"x": 0.0, "y": 0.0, "v": 10.0, "psi": 0.0},
+        "footprint": {"length": 4.6, "width": 1.8},
+        "goal": [90.0, 0.0],
+    },
+    "agents": [
+        {
+            "id": "lead",
+            "state": {"x": 30.0, "y": 0.0, "v": 8.0, "psi": 0.0},
+            "footprint": {"length": 4.6, "width": 1.8},
+            "behavior": {"kind": "lane_follow", "anything": [1, 2, 3]},
+        }
+    ],
+}
+
+CONFIG = {
+    "sampler": {"accel_grid": [-2.0, 0.0, 2.0], "yaw_rate_grid": [0.0], "speed_grid": [],
+                "lateral_offsets": [], "max_children": 2},
+    "limits": {"v_max": 25.0},
+    "schedule": {"num_stages": 2, "stage_duration": 2.0, "dt": 0.1},
+    "predictor": {"kind": "kinematic", "branching_factor": 2},
+    "cost": {"w_collision": 10.0, "collision_scale": 2.0},
+    "planner": "tpp",
+    "ncr_worst_case": False,
+    "sim": {"total_duration": 4.0, "sim_dt": 0.1, "replan_period": 2.0,
+            "spawn": {"enabled": False}, "ou": {"sigma": 0.1}},
+    "seed": 0,
+}
+
+
+def _edit(doc, path, key, value):
+    out = copy.deepcopy(doc)
+    target = out
+    for step in path:
+        target = target[step]
+    target[key] = value
+    return out
+
+
+class TestAccepted:
+    def test_full_documents_parse(self):
+        spec = parse_scenario(SCENARIO)
+        assert spec.agents[0].behavior["anything"] == [1, 2, 3]  # behavior stays free-form
+        cfg = parse_planner_config(CONFIG)
+        assert cfg.predictor.kind == "kinematic" and cfg.sim.ou.sigma == 0.1
+
+    def test_empty_config_takes_defaults(self):
+        assert parse_planner_config({}).predictor.kind == "kinematic"
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        load_planner_config(path)
+
+    @pytest.mark.parametrize("path", sorted((REPO / "scenarios").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_scenarios_parse(self, path):
+        load_scenario(path)
+
+
+PLANNER_REJECTIONS = {
+    "top_level": ((), "bogus", 1),
+    "sampler": (("sampler",), "grid", [0.0]),
+    "limits": (("limits",), "jerk_max", 1.0),
+    "schedule": (("schedule",), "stages", 3),
+    "predictor": (("predictor",), "model", "x"),
+    "cost": (("cost",), "w_speed", 1.0),
+    "sim": (("sim",), "steps", 10),
+    "sim_seed": (("sim",), "seed", 3),
+    "sim_spawn": (("sim", "spawn"), "density", 1.0),
+    "sim_ou": (("sim", "ou"), "kappa", 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANNER_REJECTIONS))
+def test_planner_config_rejects_unknown_key(case):
+    path, key, value = PLANNER_REJECTIONS[case]
+    with pytest.raises(ScenarioError, match=key):
+        parse_planner_config(_edit(CONFIG, path, key, value))
+
+
+@pytest.mark.parametrize("kind", ["transformer", "Kinematic", ""])
+def test_planner_config_rejects_unknown_predictor_kind(kind):
+    with pytest.raises(ScenarioError, match="predictor kind"):
+        parse_planner_config(_edit(CONFIG, ("predictor",), "kind", kind))
+
+
+SCENARIO_REJECTIONS = {
+    "top_level": ((), "author", "x"),
+    "map": (("map",), "crs", "utm"),
+    "lane": (("map", "lanes", 0), "width", 3.5),
+    "ego": (("ego",), "route", []),
+    "ego_state": (("ego", "state"), "a", 0.0),
+    "ego_footprint": (("ego", "footprint"), "height", 1.5),
+    "agent": (("agents", 0), "intent", "cut_in"),
+    "agent_state": (("agents", 0, "state"), "omega", 0.0),
+    "agent_footprint": (("agents", 0, "footprint"), "mass", 1500.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_REJECTIONS))
+def test_scenario_rejects_unknown_key(case):
+    path, key, value = SCENARIO_REJECTIONS[case]
+    with pytest.raises(ScenarioError, match=key):
+        parse_scenario(_edit(SCENARIO, path, key, value))
+
+
+def test_non_object_section_rejected():
+    with pytest.raises(ScenarioError):
+        parse_planner_config({"sampler": [1, 2]})
+    with pytest.raises(ScenarioError):
+        parse_scenario(_edit(SCENARIO, (), "ego", [0.0, 0.0]))
+
+
+def test_cli_rejects_unknown_key(tmp_path):
+    scen, cfg = tmp_path / "s.json", tmp_path / "c.json"
+    scen.write_text(json.dumps(SCENARIO))
+    cfg.write_text(json.dumps(_edit(CONFIG, ("cost",), "w_speed", 1.0)))
+    out = tmp_path / "never.jsonl"
+    assert main(["run", "--scenario", str(scen), "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()

@@ -18,7 +18,7 @@ from treeplan import (
     SamplerConfig,
 )
 from treeplan.errors import CausalConsistencyViolation, PredictorFailure
-from treeplan.prediction import validate_causal_consistency, _advance_agent
+from treeplan.prediction import ScenarioNode, ScenarioTree, validate_causal_consistency, _advance_agent
 from treeplan.sampler import TreeNode, TrajectoryTree
 from treeplan.verify import (
     FuturePeekingPredictor,
@@ -205,3 +205,27 @@ class TestPredictorFailure:
         with pytest.raises(PredictorFailure) as err:
             predict_ensemble(Broken(branching_factor=2), scene, tree, schedule, 2, 0)
         assert err.value.stage == 1
+
+
+class TestStageIndex:
+    def test_stage_nodes_indexed_once_and_immutable(self):
+        tree = _structural_tree(2, 2)
+        scene = Scene(agents={"a": AgentState(10.0, 0.0, 5.0, 0.0)})
+        ensemble = predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, tree.schedule, 2, 0)
+        scen = ensemble.trees[ensemble.modes[0].mode_id]
+        for stage in range(scen.max_stage + 1):
+            nodes = scen.stage_nodes(stage)
+            assert isinstance(nodes, tuple)
+            assert nodes is scen.stage_nodes(stage)
+            want = sorted((n for n in scen.nodes.values() if n.stage == stage), key=lambda n: n.path)
+            assert list(nodes) == want
+        assert scen.stage_nodes(scen.max_stage + 1) == ()
+
+    def test_stage_nodes_in_path_order_whatever_the_insertion_order(self):
+        paths = [(1, 0), (), (1,), (0, 1), (0,), (0, 0)]
+        nodes = {p: ScenarioNode(p, len(p), {}, 1.0) for p in paths}
+        tree = ScenarioTree(nodes=nodes, schedule=StageSchedule.uniform(2))
+        assert [n.path for n in tree.stage_nodes(1)] == [(0,), (1,)]
+        assert [n.path for n in tree.stage_nodes(2)] == [(0, 0), (0, 1), (1, 0)]
+        nodes.clear()  # the tree keeps its own copy
+        assert len(tree.nodes) == 6 and len(tree.stage_nodes(2)) == 3

@@ -29,6 +29,7 @@ from treeplan.world import (
     point_in_polygon,
     project_to_lane_batch,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -70,6 +71,37 @@ class TestIntegrateUnicycle:
     def test_heading_advances_linearly(self, v, a, w, psi):
         s = integrate_unicycle(AgentState(0, 0, v, psi), UnicycleInput(a, w), 0.5)
         assert abs(wrap_angle(s.psi - (psi + 0.5 * w))) < 1e-9
+
+
+def _ref_rk4(state, u, dt, limits):
+    """Four-stage RK4 on the state vector, every stage evaluated."""
+    def deriv(s):
+        return np.array([s[2] * math.cos(s[3]), s[2] * math.sin(s[3]), u.a, u.omega])
+
+    n_sub = max(1, int(math.ceil(dt / 0.1 - 1e-12)))
+    h = dt / n_sub
+    s = state.as_array()
+    for _ in range(n_sub):
+        k1 = deriv(s)
+        k2 = deriv(s + 0.5 * h * k1)
+        k3 = deriv(s + 0.5 * h * k2)
+        k4 = deriv(s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s[2] = min(max(s[2], 0.0), limits.v_max)
+    return AgentState(s[0], s[1], s[2], wrap_angle(s[3]))
+
+
+class TestIntegrateUnicycleReference:
+    @given(
+        st.floats(-100, 100), st.floats(-100, 100), st.floats(0, 25), st.floats(-math.pi, math.pi),
+        st.floats(-8, 6), st.floats(-1.5, 1.5), st.floats(0.01, 1.5), st.floats(1.0, 30.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_vector_rk4(self, x, y, v, psi, a, w, dt, v_max):
+        state, u, lim = AgentState(x, y, v, psi), UnicycleInput(a, w), DynamicsLimits(v_max=v_max)
+        got = integrate_unicycle(state, u, dt, lim)
+        want = _ref_rk4(state, u, dt, lim)
+        assert (got.x, got.y, got.v, got.psi) == (want.x, want.y, want.v, want.psi)
 
 
 class TestAgentState:
@@ -214,3 +246,166 @@ class TestTrajectory:
         ys = sorted(c[1] for c in corners)
         assert xs == pytest.approx([-2.0, -2.0, 2.0, 2.0])
         assert ys == pytest.approx([-1.0, -1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# obb_clearance against a brute-force reference
+
+
+def _ref_corners(x, y, psi, fp):
+    c, s = math.cos(psi), math.sin(psi)
+    hl, hw = fp.length / 2.0, fp.width / 2.0
+    return [(x + dx * c - dy * s, y + dx * s + dy * c) for dx, dy in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
+
+
+def _ref_sat_margin(ca, cb):
+    """Largest gap between the two boxes' projections over the four face
+    normals; the boxes overlap (touching included) iff it is <= 0."""
+    margin = -math.inf
+    for poly in (ca, cb):
+        for i in (0, 1):
+            (x1, y1), (x2, y2) = poly[i], poly[i + 1]
+            nx, ny = (y2 - y1), (x1 - x2)
+            norm = math.hypot(nx, ny)
+            pa = [(nx * px + ny * py) / norm for px, py in ca]
+            pb = [(nx * px + ny * py) / norm for px, py in cb]
+            margin = max(margin, min(pb) - max(pa), min(pa) - max(pb))
+    return margin
+
+
+def _ref_point_segment(p, a, b):
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
+    t = min(1.0, max(0.0, t))
+    return math.hypot(p[0] - a[0] - t * dx, p[1] - a[1] - t * dy)
+
+
+def ref_clearance(pose_a, fp_a, pose_b, fp_b):
+    """(clearance, SAT margin) by SAT and the 32 corner-to-edge distances."""
+    ca, cb = _ref_corners(*pose_a, fp_a), _ref_corners(*pose_b, fp_b)
+    margin = _ref_sat_margin(ca, cb)
+    if margin <= 0.0:
+        return 0.0, margin
+    dist = min(
+        _ref_point_segment(p, poly[i], poly[(i + 1) % 4])
+        for pts, poly in ((ca, cb), (cb, ca))
+        for p in pts
+        for i in range(4)
+    )
+    return dist, margin
+
+
+_coord = st.floats(-8.0, 8.0, allow_nan=False)
+_angle = st.floats(-math.pi, math.pi, allow_nan=False)
+_pose = st.tuples(_coord, _coord, _angle)
+_footprint = st.builds(Footprint, st.floats(1.0, 6.0), st.floats(0.5, 3.0))
+
+
+class TestClearanceReference:
+    @given(_pose, _footprint, _pose, _footprint)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, pa, fa, pb, fb):
+        want, margin = ref_clearance(pa, fa, pb, fb)
+        got = float(obb_clearance(*pa, fa, *pb, fb))
+        assert got == pytest.approx(want, abs=1e-9)
+        assert float(obb_clearance(*pb, fb, *pa, fa)) == pytest.approx(want, abs=1e-9)
+        if abs(margin) > 1e-9:
+            assert (got == 0.0) == (margin < 0.0)
+
+    @given(_pose, _footprint, _pose, _footprint)
+    @settings(max_examples=200, deadline=None)
+    def test_collision_and_overlap_unchanged(self, pa, fa, pb, fb):
+        """check_collision and obb_overlap agree with the reference SAT."""
+        _, margin = ref_clearance(pa, fa, pb, fb)
+        a, b = AgentState(pa[0], pa[1], 1.0, pa[2]), AgentState(pb[0], pb[1], 1.0, pb[2])
+        hit = check_collision(a, fa, b, fb)
+        assert hit == check_collision(b, fb, a, fa)
+        ca = footprint_corners(a.x, a.y, a.psi, fa)
+        cb = footprint_corners(b.x, b.y, b.psi, fb)
+        axes = np.array([[math.cos(a.psi), math.sin(a.psi)], [-math.sin(a.psi), math.cos(a.psi)],
+                         [math.cos(b.psi), math.sin(b.psi)], [-math.sin(b.psi), math.cos(b.psi)]])
+        assert bool(obb_overlap(ca, cb, axes)) == hit
+        if abs(margin) > 1e-9:
+            assert hit == (margin < 0.0)
+            assert hit == (float(obb_clearance(a.x, a.y, a.psi, fa, b.x, b.y, b.psi, fb)) == 0.0)
+
+    @given(
+        st.integers(2, 24).map(lambda k: k / 4.0),
+        st.integers(2, 12).map(lambda k: k / 4.0),
+        st.integers(2, 24).map(lambda k: k / 4.0),
+        st.integers(2, 12).map(lambda k: k / 4.0),
+        st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+        st.sampled_from(["face_x", "face_y", "corner"]),
+        st.integers(-16, 16).map(lambda k: k / 8.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_touching_counts_as_overlap(self, la, wa, lb, wb, psi_b, where, shift):
+        """Boxes that share a face or a corner have clearance 0: exactly when
+        both are axis-aligned; within rounding when b is turned, since
+        sin(pi) and cos(pi / 2) are not exactly 0 in floating point."""
+        fa, fb = Footprint(la, wa), Footprint(lb, wb)
+        quarter = psi_b in (math.pi / 2, -math.pi / 2)
+        hlb, hwb = (wb / 2, lb / 2) if quarter else (lb / 2, wb / 2)  # b's world half extents
+        if where == "face_x":
+            x, y = la / 2 + hlb, shift * min(wa / 2, hwb)
+        elif where == "face_y":
+            x, y = shift * min(la / 2, hlb), wa / 2 + hwb
+        else:
+            x, y = la / 2 + hlb, wa / 2 + hwb
+        tol = 0.0 if psi_b == 0.0 else 1e-12
+        assert float(obb_clearance(0.0, 0.0, 0.0, fa, x, y, psi_b, fb)) <= tol
+        assert float(obb_clearance(x, y, psi_b, fb, 0.0, 0.0, 0.0, fa)) <= tol
+        want, _ = ref_clearance((0.0, 0.0, 0.0), fa, (x + 0.5, y, psi_b), fb)
+        assert float(obb_clearance(0.0, 0.0, 0.0, fa, x + 0.5, y, psi_b, fb)) == pytest.approx(want, abs=1e-9)
+
+    @given(_angle, _coord, _coord, st.floats(-1e-3, 1e-3))
+    @settings(max_examples=100, deadline=None)
+    def test_rotated_face_contact_gap(self, theta, x0, y0, gap):
+        """Two boxes side by side in a common rotated frame: clearance is the gap."""
+        fa, fb = Footprint(4.6, 1.8), Footprint(2.0, 1.2)
+        sep = fa.width / 2 + fb.width / 2 + gap
+        xb, yb = x0 - sep * math.sin(theta), y0 + sep * math.cos(theta)
+        got = float(obb_clearance(x0, y0, theta, fa, xb, yb, theta, fb))
+        assert got == pytest.approx(max(gap, 0.0), abs=1e-9)
+
+    def test_broadcast_vector_against_scalar(self):
+        fa, fb = Footprint(4.6, 1.8), Footprint(2.0, 1.0)
+        rng = np.random.default_rng(7)
+        xs, ys, psis = rng.uniform(-8, 8, 25), rng.uniform(-4, 4, 25), rng.uniform(-3, 3, 25)
+        got = obb_clearance(xs, ys, psis, fa, 1.0, 0.5, 0.4, fb)
+        assert got.shape == (25,)
+        for k in range(25):
+            want, _ = ref_clearance((xs[k], ys[k], psis[k]), fa, (1.0, 0.5, 0.4), fb)
+            assert float(got[k]) == pytest.approx(want, abs=1e-9)
+        assert obb_clearance(1.0, 0.5, 0.4, fb, xs, ys, psis, fa).shape == (25,)
+        assert np.ndim(obb_clearance(0.0, 0.0, 0.0, fa, 9.0, 0.0, 0.0, fb)) == 0
+        assert obb_clearance(0.0, 0.0, 0.0, fa, 0.0, 0.0, psis, fb).shape == (25,)
+
+    def test_broadcast_row_against_matrix(self):
+        """Ego samples (1, n) against S stacked agent rows (S, n)."""
+        fa, fb = Footprint(4.6, 1.8), Footprint(4.9, 2.1)
+        rng = np.random.default_rng(8)
+        S, n = 5, 21
+        ego = [rng.uniform(-6, 6, (1, n)), rng.uniform(-3, 3, (1, n)), rng.uniform(-3, 3, (1, n))]
+        agt = [rng.uniform(-6, 6, (S, n)), rng.uniform(-3, 3, (S, n)), rng.uniform(-3, 3, (S, n))]
+        got = obb_clearance(*ego, fa, *agt, fb)
+        assert got.shape == (S, n)
+        for i in range(S):
+            row = obb_clearance(ego[0][0], ego[1][0], ego[2][0], fa, agt[0][i], agt[1][i], agt[2][i], fb)
+            np.testing.assert_array_equal(got[i], row)
+            for k in range(n):
+                want, _ = ref_clearance((ego[0][0, k], ego[1][0, k], ego[2][0, k]), fa,
+                                        (agt[0][i, k], agt[1][i, k], agt[2][i, k]), fb)
+                assert float(got[i, k]) == pytest.approx(want, abs=1e-9)
+
+
+class TestWrapAngles:
+    def test_matches_scalar_wrap(self):
+        pi = math.pi
+        edge = [pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 0.0, -0.0,
+                np.nextafter(pi, 4.0), np.nextafter(-pi, -4.0), np.nextafter(pi, 0.0), np.nextafter(-pi, 0.0)]
+        psi = np.concatenate([edge, np.random.default_rng(0).uniform(-20, 20, 200)])
+        got = wrap_angles(psi)
+        want = np.array([wrap_angle(float(p)) for p in psi])
+        np.testing.assert_array_equal(got, want)
+        assert got[0] == pi and got[1] == pi
