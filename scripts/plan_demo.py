@@ -42,8 +42,15 @@ def main():
         footprints=footprints,
         lane_map=scenario.lane_map,
     )
+    p = cfg.predictor
     predictor = KinematicPredictor(
-        lane_map=scenario.lane_map, branching_factor=cfg.predictor.branching_factor
+        lane_map=scenario.lane_map,
+        branching_factor=p.branching_factor,
+        maintain_prior=p.maintain_prior,
+        brake_prior=p.brake_prior,
+        b_decel=p.b_decel,
+        tau_yield=p.tau_yield,
+        yield_boost=p.yield_boost,
     )
     ensemble = predict_ensemble(
         predictor, scene, tree, cfg.schedule, cfg.predictor.branching_factor, seed=args.seed

@@ -47,6 +47,6 @@ from .dp import (
 from .baselines import NonContingentPlan, path_expected_cost, plan_ncg, plan_ncr
 from .sim import SimTrace, agent_policy_step, ou_step, run_closed_loop
 from .config import PlannerConfig, ScenarioSpec, SimConfig, load_planner_config, load_scenario
-from .metrics import MetricReport, ade_fde, crash_and_offroad_rates, kde_coverage
+from .metrics import ade_fde, crash_and_offroad_rates, kde_coverage
 
 __version__ = "0.1.0"

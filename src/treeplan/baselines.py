@@ -2,7 +2,9 @@
 
 NCR commits to the single root-to-leaf ego path with the best expected cost
 over all predicted branches; NCG plans against the single most likely
-scenario path only. Neither switches on observations.
+scenario path only. Neither switches on observations. The scenario argument
+is a ScenarioTree or an ECPredictionEnsemble; structure is read through its
+tree_for_ego_node.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostTensor
-from .dp import _ScenarioView
 from .sampler import TrajectoryTree
 
 
@@ -26,10 +27,9 @@ def _ego_paths(tree: TrajectoryTree) -> list:
 
 
 def path_expected_cost(
-    tree: TrajectoryTree, scenario_or_ensemble, costs: CostTensor, ego_path: tuple
+    tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
     """Expected cumulative cost of one fixed ego path over all branches."""
-    view = _ScenarioView(scenario_or_ensemble)
 
     def walk(stage: int, scen_path: tuple) -> float:
         ego_id = ego_path[stage]
@@ -37,7 +37,7 @@ def path_expected_cost(
         if stage == len(ego_path) - 1:
             return c
         total = c
-        for child in view.children(ego_path[stage + 1], scen_path):
+        for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
             total += child.branch_probability * walk(stage + 1, child.path)
         return total
 
@@ -45,10 +45,9 @@ def path_expected_cost(
 
 
 def path_worst_case_cost(
-    tree: TrajectoryTree, scenario_or_ensemble, costs: CostTensor, ego_path: tuple
+    tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
     """Worst-case (max over branches) cumulative cost of one fixed ego path."""
-    view = _ScenarioView(scenario_or_ensemble)
 
     def walk(stage: int, scen_path: tuple) -> float:
         ego_id = ego_path[stage]
@@ -57,7 +56,7 @@ def path_worst_case_cost(
             return c
         return c + max(
             walk(stage + 1, child.path)
-            for child in view.children(ego_path[stage + 1], scen_path)
+            for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path)
         )
 
     return walk(0, ())
@@ -65,7 +64,7 @@ def path_worst_case_cost(
 
 def plan_ncr(
     tree: TrajectoryTree,
-    scenario_or_ensemble,
+    scenario,
     costs: CostTensor,
     worst_case: bool = False,
 ) -> NonContingentPlan:
@@ -77,16 +76,16 @@ def plan_ncr(
     score = path_worst_case_cost if worst_case else path_expected_cost
     best_path, best_cost = None, math.inf
     for ego_path in _ego_paths(tree):
-        c = score(tree, scenario_or_ensemble, costs, ego_path)
+        c = score(tree, scenario, costs, ego_path)
         if c < best_cost:
             best_path, best_cost = ego_path, c
     if not worst_case:
         return NonContingentPlan(path=best_path, expected_cost=best_cost)
-    expected = path_expected_cost(tree, scenario_or_ensemble, costs, best_path)
+    expected = path_expected_cost(tree, scenario, costs, best_path)
     return NonContingentPlan(path=best_path, expected_cost=expected)
 
 
-def most_likely_scenario_path(view: _ScenarioView, ego_path: tuple) -> list:
+def most_likely_scenario_path(scenario, ego_path: tuple) -> list:
     """Max-probability-product root-to-leaf scenario path, lowest path on ties.
 
     Scenario structure is read along the given ego path (relevant under
@@ -100,26 +99,23 @@ def most_likely_scenario_path(view: _ScenarioView, ego_path: tuple) -> list:
             if prob > best_prob + 1e-15:
                 best_path, best_prob = list(acc), prob
             return
-        for child in view.children(ego_path[stage + 1], scen_path):
+        for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
             walk(stage + 1, child.path, prob * child.branch_probability, acc + [child.path])
 
     walk(0, (), 1.0, [()])
     return best_path
 
 
-def plan_ncg(
-    tree: TrajectoryTree, scenario_or_ensemble, costs: CostTensor
-) -> NonContingentPlan:
+def plan_ncg(tree: TrajectoryTree, scenario, costs: CostTensor) -> NonContingentPlan:
     """Best fixed ego path against the most likely scenario path only.
 
     The reported expected_cost is the greedy objective (cost along the most
     likely path); the full-distribution cost of the chosen path is available
     via path_expected_cost.
     """
-    view = _ScenarioView(scenario_or_ensemble)
     best_path, best_cost = None, math.inf
     for ego_path in _ego_paths(tree):
-        scen_seq = most_likely_scenario_path(view, ego_path)
+        scen_seq = most_likely_scenario_path(scenario, ego_path)
         c = sum(costs.get(ego_path[i], scen_seq[i]) for i in range(len(ego_path)))
         if c < best_cost:
             best_path, best_cost = ego_path, c

@@ -253,54 +253,31 @@ def _goal_norm(tree: TrajectoryTree, weights: CostWeights) -> float:
     return max(1.0, math.hypot(root.x - weights.goal[0], root.y - weights.goal[1]))
 
 
-def _tensor_entries(values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps, norm, arrays):
-    costs = _stage_costs(
-        ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps, norm, None, arrays
-    )
-    values.update(zip(((ego_node.id, scen.path) for scen in scen_nodes), costs.tolist()))
-
-
 def build_cost_tensor(
     tree: TrajectoryTree,
-    scenario: ScenarioTree,
+    scenario: ScenarioTree | ECPredictionEnsemble,
     lane_map: LaneGraph | None,
     weights: CostWeights,
     ego_fp: Footprint = DEFAULT_FOOTPRINT,
     agent_fps: dict | None = None,
 ) -> CostTensor:
-    """Costs for every same-stage pair of one ego tree and one scenario tree."""
-    norm = _goal_norm(tree, weights)
-    arrays = _ArrayCache()
-    values = {}
-    for stage in range(min(tree.max_stage, scenario.max_stage) + 1):
-        scen_nodes = scenario.stage_nodes(stage)
-        for ego_node in tree.stage_nodes(stage):
-            _tensor_entries(
-                values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
-            )
-    return CostTensor(values)
+    """Costs for every ego node against the same-stage nodes of its scenario tree.
 
-
-def build_cost_tensor_ec(
-    tree: TrajectoryTree,
-    ensemble: ECPredictionEnsemble,
-    lane_map: LaneGraph | None,
-    weights: CostWeights,
-    ego_fp: Footprint = DEFAULT_FOOTPRINT,
-    agent_fps: dict | None = None,
-) -> CostTensor:
-    """Costs for ego nodes against the scenario tree their mode resolves to.
-
-    Causal consistency makes the per-node mode resolution immaterial: any two
-    trees through a shared ego prefix carry identical nodes there. Each ego
-    node is evaluated against all scenario nodes of its stage at once.
+    scenario.tree_for_ego_node resolves the tree: one shared ScenarioTree, or
+    for an ensemble the tree of the first mode through the node; causal
+    consistency makes that choice immaterial. Each ego node is evaluated
+    against all scenario nodes of its stage at once.
     """
     norm = _goal_norm(tree, weights)
     arrays = _ArrayCache()
     values = {}
     for ego_node in tree.nodes:
-        scen_nodes = ensemble.tree_for_ego_node(ego_node.id).stage_nodes(ego_node.stage)
-        _tensor_entries(
-            values, ego_node, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
+        scen_nodes = scenario.tree_for_ego_node(ego_node.id).stage_nodes(ego_node.stage)
+        costs = _stage_costs(
+            ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, None, arrays
         )
+        values.update(zip(((ego_node.id, scen.path) for scen in scen_nodes), costs.tolist()))
     return CostTensor(values)
+
+
+build_cost_tensor_ec = build_cost_tensor

@@ -1,7 +1,8 @@
 """Finite-horizon tree-MDP solver.
 
 Backward recursion over same-stage (ego node, scenario node) pairs, for a
-single scenario tree or an ego-conditioned ensemble, plus an exhaustive
+single scenario tree or an ego-conditioned ensemble (both resolve an ego node
+to its scenario tree through tree_for_ego_node), plus an exhaustive
 enumeration oracle that certifies optimality on small instances, and policy
 execution back into a continuous trajectory.
 """
@@ -13,12 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .costs import CostTensor
-from .errors import (
-    CausalConsistencyViolation,
-    StructureError,
-    TooLarge,
-    UnknownNode,
-)
+from .errors import StructureError, TooLarge, UnknownNode
 from .prediction import ECPredictionEnsemble, ScenarioTree
 from .sampler import TrajectoryTree
 from .world import Trajectory, concat_trajectories
@@ -39,66 +35,46 @@ class PolicyTable:
     pi: dict = field(default_factory=dict)
 
 
-class _ScenarioView:
-    """Uniform access to scenario structure for plain trees and EC ensembles."""
-
-    def __init__(self, scenario_or_ensemble):
-        self._obj = scenario_or_ensemble
-        self.is_ec = isinstance(scenario_or_ensemble, ECPredictionEnsemble)
-
-    def tree_for(self, ego_node_id: int) -> ScenarioTree:
-        if self.is_ec:
-            return self._obj.tree_for_ego_node(ego_node_id)
-        return self._obj
-
-    def stage_nodes(self, ego_node_id: int, stage: int):
-        return self.tree_for(ego_node_id).stage_nodes(stage)
-
-    def children(self, ego_node_id: int, path: tuple):
-        """Children of the scenario node on the tree associated with ego_node_id."""
-        tree = self.tree_for(ego_node_id)
-        if path not in tree.nodes:
-            raise CausalConsistencyViolation(
-                "?", "?", len(path), f"scenario node {path} missing on resolved tree"
-            )
-        return tree.children(path)
-
-    @property
-    def max_stage(self) -> int:
-        if self.is_ec:
-            return max(t.max_stage for t in self._obj.trees.values())
-        return self._obj.max_stage
-
-
-def _check_structure(tree: TrajectoryTree, view: _ScenarioView):
-    if tree.max_stage != view.max_stage:
+def _check_structure(tree: TrajectoryTree, scenario):
+    if tree.max_stage != scenario.max_stage:
         raise StructureError(
-            f"ego tree has {tree.max_stage} stages, scenario has {view.max_stage}"
+            f"ego tree has {tree.max_stage} stages, scenario has {scenario.max_stage}"
         )
 
 
-def _solve(tree: TrajectoryTree, view: _ScenarioView, costs: CostTensor):
-    _check_structure(tree, view)
+def solve_policy(
+    tree: TrajectoryTree, scenario: ScenarioTree | ECPredictionEnsemble, costs: CostTensor
+):
+    """Exact backward recursion over (ego node, scenario node) pairs.
+
+    Each ego node reads its scenario nodes from scenario.tree_for_ego_node:
+    one shared ScenarioTree, or for an ensemble the tree of the first mode
+    whose ego path passes through the node. Transition probabilities and
+    children come from the tree of the candidate child ego node. Ties in the
+    argmin break toward the lowest child node id. V at the root pair equals
+    the policy's expected cumulative cost.
+    """
+    _check_structure(tree, scenario)
     N = tree.max_stage
     V: dict = {}
     Q: dict = {}
     pi: dict = {}
 
     for ego_node in tree.stage_nodes(N):
-        for scen in view.stage_nodes(ego_node.id, N):
+        for scen in scenario.tree_for_ego_node(ego_node.id).stage_nodes(N):
             V[(ego_node.id, scen.path)] = costs.get(ego_node.id, scen.path)
 
     for stage in range(N - 1, -1, -1):
         # pairs within a stage are independent; could be computed concurrently
         for ego_node in tree.stage_nodes(stage):
             kids = tree.children(ego_node.id)
-            for scen in view.stage_nodes(ego_node.id, stage):
+            for scen in scenario.tree_for_ego_node(ego_node.id).stage_nodes(stage):
                 L = costs.get(ego_node.id, scen.path)
                 best_id, best_q = None, math.inf
                 for child_id in sorted(kids):
                     exp_v = sum(
                         c.branch_probability * V[(child_id, c.path)]
-                        for c in view.children(child_id, scen.path)
+                        for c in scenario.tree_for_ego_node(child_id).children(scen.path)
                     )
                     q = L + exp_v
                     Q[(child_id, scen.path)] = q
@@ -111,35 +87,18 @@ def _solve(tree: TrajectoryTree, view: _ScenarioView, costs: CostTensor):
     return ValueTable(V=V, Q=Q), PolicyTable(pi=pi)
 
 
-def solve_policy(tree: TrajectoryTree, scenario: ScenarioTree, costs: CostTensor):
-    """Exact backward recursion over one shared scenario tree.
-
-    Ties in the argmin break toward the lowest child node id. V at the root
-    pair equals the policy's expected cumulative cost.
-    """
-    return _solve(tree, _ScenarioView(scenario), costs)
-
-
-def solve_policy_ec(tree: TrajectoryTree, ensemble: ECPredictionEnsemble, costs: CostTensor):
-    """Backward recursion with scenario nodes resolved per ego node.
-
-    For each ego node the scenario subtree is read from the first mode whose
-    ego path passes through it; transition probabilities and children come
-    from the tree associated with the candidate child ego node.
-    """
-    return _solve(tree, _ScenarioView(ensemble), costs)
+solve_policy_ec = solve_policy
 
 
 def policy_expected_cost(
     tree: TrajectoryTree,
-    scenario_or_ensemble,
+    scenario,
     costs: CostTensor,
     policy: PolicyTable,
 ) -> float:
     """Exact expected cumulative cost of a deterministic policy."""
-    view = _ScenarioView(scenario_or_ensemble)
     N = tree.max_stage
-    root_scen = view.stage_nodes(tree.root_id, 0)[0]
+    root_scen = scenario.tree_for_ego_node(tree.root_id).stage_nodes(0)[0]
 
     def walk(ego_id: int, scen_path: tuple, stage: int) -> float:
         c = costs.get(ego_id, scen_path)
@@ -147,28 +106,27 @@ def policy_expected_cost(
             return c
         child_id = policy.pi[(ego_id, scen_path)]
         total = c
-        for child in view.children(child_id, scen_path):
+        for child in scenario.tree_for_ego_node(child_id).children(scen_path):
             total += child.branch_probability * walk(child_id, child.path, stage + 1)
         return total
 
     return walk(tree.root_id, root_scen.path, 0)
 
 
-def count_policies(tree: TrajectoryTree, scenario_or_ensemble) -> int:
+def count_policies(tree: TrajectoryTree, scenario) -> int:
     """Number of deterministic (ego node, scenario node) -> child mappings."""
-    view = _ScenarioView(scenario_or_ensemble)
     total = 1
     for stage in range(tree.max_stage):
         for ego_node in tree.stage_nodes(stage):
             n_children = len(tree.children(ego_node.id))
-            for _ in view.stage_nodes(ego_node.id, stage):
+            for _ in scenario.tree_for_ego_node(ego_node.id).stage_nodes(stage):
                 total *= max(n_children, 1)
     return total
 
 
 def brute_force_value(
     tree: TrajectoryTree,
-    scenario_or_ensemble,
+    scenario,
     costs: CostTensor,
     cap: int = 10**7,
 ):
@@ -177,9 +135,8 @@ def brute_force_value(
     The independent certificate for the backward recursion: each mapping's
     expected cost is computed by direct summation over scenario paths.
     """
-    view = _ScenarioView(scenario_or_ensemble)
-    _check_structure(tree, view)
-    n_policies = count_policies(tree, scenario_or_ensemble)
+    _check_structure(tree, scenario)
+    n_policies = count_policies(tree, scenario)
     if n_policies > cap:
         raise TooLarge(f"{n_policies} policies exceed cap {cap}")
 
@@ -187,14 +144,14 @@ def brute_force_value(
     for stage in range(tree.max_stage):
         for ego_node in tree.stage_nodes(stage):
             kids = tree.children(ego_node.id)
-            for scen in view.stage_nodes(ego_node.id, stage):
+            for scen in scenario.tree_for_ego_node(ego_node.id).stage_nodes(stage):
                 pairs.append(((ego_node.id, scen.path), kids))
 
     best_value, best_policy = math.inf, None
     keys = [p[0] for p in pairs]
     for combo in itertools.product(*(p[1] for p in pairs)):
         policy = PolicyTable(pi=dict(zip(keys, combo)))
-        value = policy_expected_cost(tree, scenario_or_ensemble, costs, policy)
+        value = policy_expected_cost(tree, scenario, costs, policy)
         if value < best_value - 1e-15:
             best_value, best_policy = value, policy
     return best_value, best_policy

@@ -9,10 +9,6 @@ class DegenerateDuration(TreeplanError):
     """Spline fitting requested over a duration shorter than one sample step."""
 
 
-class EmptyStage(TreeplanError):
-    """A tree stage produced no feasible children for any leaf."""
-
-
 class PredictorFailure(TreeplanError):
     """A predictor raised while expanding a scenario-tree node."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,22 +14,6 @@ from .sim import SimTrace
 DEFAULT_BANDWIDTH = 2.0
 DEFAULT_CELL = 1.0
 DEFAULT_THRESHOLD = 0.0237
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    crash_rate: float
-    offroad_rate: float
-    coverage: int
-    episodes: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "crash_rate": self.crash_rate,
-            "offroad_rate": self.offroad_rate,
-            "coverage": self.coverage,
-            "episodes": list(self.episodes),
-        }
 
 
 def crash_and_offroad_rates(trace: SimTrace):
@@ -108,20 +91,3 @@ def ade_fde(predicted: ScenarioTree, realized: dict):
     if not mode_ades:
         return 0.0, 0.0
     return sum(mode_ades) / len(mode_ades), sum(mode_fdes) / len(mode_fdes)
-
-
-def report_for_trace(trace: SimTrace) -> MetricReport:
-    crash, offroad = crash_and_offroad_rates(trace)
-    return MetricReport(
-        crash_rate=crash,
-        offroad_rate=offroad,
-        coverage=kde_coverage(trace),
-        episodes=(
-            {
-                "planner": trace.metadata.get("planner"),
-                "seed": trace.metadata.get("seed"),
-                "crash_rate": crash,
-                "offroad_rate": offroad,
-            },
-        ),
-    )

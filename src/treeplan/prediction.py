@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
-from .errors import CausalConsistencyViolation, PredictorFailure
+from .errors import CausalConsistencyViolation, PredictorFailure, UnknownNode
 from .sampler import StageSchedule, TrajectoryTree
 from .world import (
     AgentState,
@@ -55,10 +56,6 @@ class ScenarioNode:
     agent_trajectories: dict  # agent_id -> Trajectory
     branch_probability: float
 
-    @property
-    def parent_path(self):
-        return self.path[:-1] if self.path else None
-
 
 @dataclass(frozen=True)
 class ScenarioTree:
@@ -78,7 +75,13 @@ class ScenarioTree:
     def root(self) -> ScenarioNode:
         return self.nodes[()]
 
+    def tree_for_ego_node(self, ego_node_id: int) -> "ScenarioTree":
+        """Every ego node reads this one tree."""
+        return self
+
     def children(self, path: tuple) -> list:
+        if path not in self.nodes:
+            raise UnknownNode(f"scenario node {path} not in tree")
         out = []
         j = 0
         while path + (j,) in self.nodes:
@@ -198,7 +201,7 @@ def predict_scenario_tree(
     )
     nodes = {(): root}
     frontier = [root]
-    n_stages = min(schedule.num_stages, _mode_stage_count(mode, schedule))
+    n_stages = min(schedule.num_stages, len(mode.ego_path) - 1)
     for stage in range(1, n_stages + 1):
         ego_seg = slice_stage(mode.ego_trajectory, schedule, stage)
         ego_prefix = mode.ego_path[: stage + 1]
@@ -227,10 +230,6 @@ def predict_scenario_tree(
     tree = ScenarioTree(nodes=nodes, schedule=schedule)
     tree.validate()
     return tree
-
-
-def _mode_stage_count(mode: ECMode, schedule: StageSchedule) -> int:
-    return len(mode.ego_path) - 1
 
 
 def _accumulate_history(base_history: dict, nodes: dict, path: tuple) -> dict:
@@ -265,58 +264,32 @@ class ECPredictionEnsemble:
     def tree_for_ego_node(self, ego_node_id: int) -> ScenarioTree:
         return self.trees[self.mode_for_ego_node(ego_node_id).mode_id]
 
-
-def _common_prefix_stage(path_a: tuple, path_b: tuple) -> int:
-    k = 0
-    for a, b in zip(path_a, path_b):
-        if a != b:
-            break
-        k += 1
-    return k - 1  # stage index of the last shared ego node
-
-
-def _trajectories_equal(ta: dict, tb: dict) -> bool:
-    if set(ta) != set(tb):
-        return False
-    for aid in ta:
-        a, b = ta[aid], tb[aid]
-        if len(a.samples) != len(b.samples):
-            return False
-        for sa, sb in zip(a.samples, b.samples):
-            if sa.as_array().tolist() != sb.as_array().tolist():
-                return False
-    return True
+    @property
+    def max_stage(self) -> int:
+        return max(t.max_stage for t in self.trees.values())
 
 
 def validate_causal_consistency(ensemble: ECPredictionEnsemble):
     """Def.-style check: shared ego prefixes imply identical tree prefixes.
 
-    Raises CausalConsistencyViolation naming the earliest (mode pair, stage)
-    mismatch.
+    At each stage s, every mode's stage-s nodes must equal (paths, branch
+    probabilities and trajectories) those of the first mode with the same
+    ego prefix through s. Raises CausalConsistencyViolation naming that
+    mode pair at the earliest stage where they differ.
     """
-    modes = ensemble.modes
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            stage = _common_prefix_stage(modes[i].ego_path, modes[j].ego_path)
-            if stage < 0:
+    n_stages = max(len(m.ego_path) for m in ensemble.modes)
+    for s in range(n_stages):
+        first = {}  # ego prefix through s -> (mode id, stage-s nodes)
+        for mode in ensemble.modes:
+            if len(mode.ego_path) <= s:
                 continue
-            ta = ensemble.trees[modes[i].mode_id]
-            tb = ensemble.trees[modes[j].mode_id]
-            for s in range(stage + 1):
-                na = {n.path: n for n in ta.stage_nodes(s)}
-                nb = {n.path: n for n in tb.stage_nodes(s)}
-                if set(na) != set(nb):
-                    raise CausalConsistencyViolation(i, j, s, "node structure differs")
-                for path in sorted(na):
-                    a, b = na[path], nb[path]
-                    if a.branch_probability != b.branch_probability:
-                        raise CausalConsistencyViolation(
-                            i, j, s, f"probability differs at {path}"
-                        )
-                    if not _trajectories_equal(a.agent_trajectories, b.agent_trajectories):
-                        raise CausalConsistencyViolation(
-                            i, j, s, f"trajectories differ at {path}"
-                        )
+            nodes = ensemble.trees[mode.mode_id].stage_nodes(s)
+            ref_id, ref = first.setdefault(mode.ego_path[: s + 1], (mode.mode_id, nodes))
+            if nodes != ref:
+                bad = next((a or b).path for a, b in zip_longest(ref, nodes) if a != b)
+                raise CausalConsistencyViolation(
+                    ref_id, mode.mode_id, s, f"scenario node {bad} differs"
+                )
 
 
 def predict_ensemble(
@@ -326,7 +299,6 @@ def predict_ensemble(
     schedule: StageSchedule,
     branching_factor: int,
     seed: int,
-    validate: bool = True,
 ) -> ECPredictionEnsemble:
     """Flatten the ego tree, predict per mode, and validate consistency."""
     modes = flatten_ec_modes(tree)
@@ -339,8 +311,7 @@ def predict_ensemble(
             predictor, scene, mode, schedule, branching_factor, seed
         )
     ensemble = ECPredictionEnsemble(modes=tuple(modes), trees=trees)
-    if validate:
-        validate_causal_consistency(ensemble)
+    validate_causal_consistency(ensemble)
     return ensemble
 
 

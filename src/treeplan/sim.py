@@ -10,7 +10,7 @@ recorded in a trace that is a pure function of (scenario, planner, config).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .config import (
     config_hash,
     scenario_to_dict,
 )
-from .costs import build_cost_tensor_ec, CostWeights
+from .costs import build_cost_tensor_ec
 from .dp import solve_policy_ec
 from .errors import ScenarioError, TreeplanError
 from .prediction import KinematicPredictor, Scene, predict_ensemble
@@ -144,9 +144,6 @@ class SimTrace:
     steps: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def to_records(self):
-        return list(self.steps)
-
 
 def _state_dict(s: AgentState) -> dict:
     return {"x": s.x, "y": s.y, "v": s.v, "psi": s.psi}
@@ -197,14 +194,7 @@ def run_closed_loop(
     lane_map = scenario.lane_map
     ego = scenario.ego_state
     ego_fp = scenario.ego_footprint
-    weights = CostWeights(
-        w_collision=pc.weights.w_collision,
-        w_lane=pc.weights.w_lane,
-        w_goal=pc.weights.w_goal,
-        w_comfort=pc.weights.w_comfort,
-        collision_scale=pc.weights.collision_scale,
-        goal=scenario.goal,
-    )
+    weights = replace(pc.weights, goal=scenario.goal)
     predictor = KinematicPredictor(
         lane_map=lane_map,
         branching_factor=pc.predictor.branching_factor,
@@ -221,7 +211,8 @@ def run_closed_loop(
         a.id: _AgentController(
             spec=a,
             rng=np.random.default_rng(
-                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, _sid(a.id)))
+                # every byte of the id, so ids sharing a prefix get their own streams
+                np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, *a.id.encode()))
             ),
         )
         for a in scenario.agents
@@ -386,10 +377,6 @@ def run_closed_loop(
         )
 
     return trace
-
-
-def _sid(agent_id: str) -> int:
-    return int.from_bytes(agent_id.encode()[:8].ljust(8, b"\0"), "little") % (2**32)
 
 
 def _try_spawn(rng, ego, ego_fp, agents, footprints, lane_map, spawn_cfg, count):

@@ -6,7 +6,7 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,6 @@ class AgentState:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
-
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def velocity(self) -> np.ndarray:
-        return np.array([self.v * math.cos(self.psi), self.v * math.sin(self.psi)])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.v, self.psi])
@@ -118,16 +112,10 @@ class Trajectory:
     def end(self) -> AgentState:
         return self.samples[-1]
 
-    def positions(self) -> np.ndarray:
-        return np.array([[s.x, s.y] for s in self.samples])
-
     def arrays(self):
         """(x, y, v, psi) arrays over the samples."""
         a = np.array([[s.x, s.y, s.v, s.psi] for s in self.samples])
         return a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-
-    def shifted(self, t0: float) -> "Trajectory":
-        return replace(self, t0=t0)
 
     def state_at(self, t: float) -> AgentState:
         """Linearly interpolated state at time t, clamped to the support."""

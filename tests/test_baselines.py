@@ -5,7 +5,7 @@ import pytest
 
 from treeplan import plan_ncg, plan_ncr, path_expected_cost
 from treeplan.baselines import most_likely_scenario_path, path_worst_case_cost
-from treeplan.dp import solve_policy, _ScenarioView
+from treeplan.dp import solve_policy
 from treeplan.verify import random_dp_instance
 
 
@@ -35,8 +35,7 @@ class TestWorkedCutIn:
 
     def test_most_likely_path_selection(self, cutin_instance):
         tree, make_scenario, _ = cutin_instance
-        view = _ScenarioView(make_scenario(0.4, 0.6))
-        seq = most_likely_scenario_path(view, (0, 1, 2))
+        seq = most_likely_scenario_path(make_scenario(0.4, 0.6), (0, 1, 2))
         assert seq == [(), (1,), (1, 0)]
 
     def test_worst_case_variant(self, cutin_instance):

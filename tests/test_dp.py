@@ -4,12 +4,26 @@ import numpy as np
 import pytest
 
 from treeplan import (
+    AgentState,
     CostTensor,
+    CostWeights,
+    ECPredictionEnsemble,
+    KinematicPredictor,
+    SamplerConfig,
+    Scene,
+    StageSchedule,
     brute_force_value,
+    build_cost_tensor,
+    build_cost_tensor_ec,
     execute_policy,
+    grow_tree,
+    plan_ncg,
+    plan_ncr,
     policy_expected_cost,
+    predict_ensemble,
+    predict_scenario_tree,
 )
-from treeplan.dp import count_policies, solve_policy, _ScenarioView
+from treeplan.dp import count_policies, solve_policy, solve_policy_ec
 from treeplan.errors import StructureError, UnknownNode
 from treeplan.verify import random_costs, random_dp_instance, random_scenario_tree, random_tree
 
@@ -76,7 +90,6 @@ class TestOracle:
         rng = np.random.default_rng(7)
         tree, scenario, costs = random_dp_instance(rng)
         values, policy = solve_policy(tree, scenario, costs)
-        view = _ScenarioView(scenario)
         for (ego_id, scen_path), v in values.V.items():
             node = tree.node(ego_id)
             if node.stage == tree.max_stage:
@@ -84,7 +97,7 @@ class TestOracle:
                 continue
             chosen = policy.pi[(ego_id, scen_path)]
             q = costs.get(ego_id, scen_path)
-            for child in view.children(chosen, scen_path):
+            for child in scenario.children(scen_path):
                 q += child.branch_probability * values.V[(chosen, child.path)]
             assert v == pytest.approx(q, abs=1e-12)
 
@@ -118,3 +131,36 @@ class TestOracle:
         costs = random_costs(rng, tree, pairs)
         with pytest.raises(StructureError):
             solve_policy(tree, short, costs)
+
+
+class TestOneScenarioInterface:
+    """An ensemble whose modes all carry one ScenarioTree plans exactly like
+    that tree passed directly."""
+
+    def test_ensemble_of_one_tree_matches_the_tree(self, two_lane_map):
+        schedule = StageSchedule.uniform(2)
+        tree = grow_tree(AgentState(0.0, 0.0, 10.0, 0.0), two_lane_map, schedule, SamplerConfig(max_children=3), 5)
+        scene = Scene(
+            agents={"a0": AgentState(18.0, 3.5, 8.0, 0.0), "a1": AgentState(30.0, 0.0, 6.0, 0.0)},
+            lane_map=two_lane_map,
+        )
+        predictor = KinematicPredictor(lane_map=two_lane_map, branching_factor=4)
+        modes = predict_ensemble(predictor, scene, tree, schedule, 4, 5).modes
+        shared = predict_scenario_tree(predictor, scene, modes[-1], schedule, 4, 5)
+        ensemble = ECPredictionEnsemble(modes=modes, trees={m.mode_id: shared for m in modes})
+        assert ensemble.max_stage == shared.max_stage
+        weights = CostWeights(goal=(200.0, 0.0))
+
+        costs = build_cost_tensor(tree, shared, two_lane_map, weights)
+        assert build_cost_tensor_ec(tree, ensemble, two_lane_map, weights).values == costs.values
+        values, policy = solve_policy(tree, shared, costs)
+        ec_values, ec_policy = solve_policy_ec(tree, ensemble, costs)
+        assert (ec_values.V, ec_values.Q, ec_policy.pi) == (values.V, values.Q, policy.pi)
+        for plan in (plan_ncr, plan_ncg, lambda *a: plan_ncr(*a, worst_case=True)):
+            assert plan(tree, ensemble, costs) == plan(tree, shared, costs)
+        assert policy_expected_cost(tree, ensemble, costs, policy) == policy_expected_cost(tree, shared, costs, policy)
+        assert count_policies(tree, ensemble) == count_policies(tree, shared)
+
+    def test_ec_names_are_the_same_functions(self):
+        assert solve_policy_ec is solve_policy
+        assert build_cost_tensor_ec is build_cost_tensor

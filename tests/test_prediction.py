@@ -2,6 +2,7 @@
 causal consistency."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,14 @@ from treeplan import (
     predict_ensemble,
     SamplerConfig,
 )
-from treeplan.errors import CausalConsistencyViolation, PredictorFailure
-from treeplan.prediction import ScenarioNode, ScenarioTree, validate_causal_consistency, _advance_agent
+from treeplan.errors import CausalConsistencyViolation, PredictorFailure, UnknownNode
+from treeplan.prediction import (
+    ECPredictionEnsemble,
+    ScenarioNode,
+    ScenarioTree,
+    validate_causal_consistency,
+    _advance_agent,
+)
 from treeplan.sampler import TreeNode, TrajectoryTree
 from treeplan.verify import (
     FuturePeekingPredictor,
@@ -186,13 +193,6 @@ class TestAdversarialPredictor:
             predict_ensemble(pred, scene, tree, schedule, 2, 3)
         assert err.value.stage <= 1
 
-    def test_validation_can_be_skipped(self):
-        tree, schedule = make_shared_prefix_tree()
-        scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
-        pred = FuturePeekingPredictor(branching_factor=2)
-        ens = predict_ensemble(pred, scene, tree, schedule, 2, 3, validate=False)
-        assert len(ens.modes) == 2
-
 
 class TestPredictorFailure:
     def test_failure_carries_stage_context(self):
@@ -229,3 +229,97 @@ class TestStageIndex:
         assert [n.path for n in tree.stage_nodes(2)] == [(0, 0), (0, 1), (1, 0)]
         nodes.clear()  # the tree keeps its own copy
         assert len(tree.nodes) == 6 and len(tree.stage_nodes(2)) == 3
+
+
+class TestCausalConsistencyCorruptions:
+    """Hand-corrupted copies of a true 3-stage ensemble (8 modes)."""
+
+    @staticmethod
+    def _ensemble():
+        tree = _structural_tree(3, 2)
+        scene = Scene(agents={"a": AgentState(10.0, 0.0, 5.0, 0.0), "b": AgentState(20.0, 3.0, 4.0, 0.0)})
+        return predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, tree.schedule, 2, 0)
+
+    @staticmethod
+    def _corrupt(ensemble, mode_id, path, change):
+        """Copy with change(node) replacing one node of one mode's tree; None
+        drops the node and its descendants."""
+        old = ensemble.trees[mode_id]
+        new = change(old.nodes[path])
+        if new is None:
+            nodes = {p: n for p, n in old.nodes.items() if p[: len(path)] != path}
+        else:
+            nodes = {**old.nodes, path: new}
+        trees = {**ensemble.trees, mode_id: ScenarioTree(nodes=nodes, schedule=old.schedule)}
+        return ECPredictionEnsemble(modes=ensemble.modes, trees=trees)
+
+    @staticmethod
+    def _move_sample(node):
+        traj = node.agent_trajectories["a"]
+        s = traj.samples[-1]
+        samples = traj.samples[:-1] + (AgentState(s.x + 1e-9, s.y, s.v, s.psi),)
+        return replace(node, agent_trajectories={**node.agent_trajectories, "a": replace(traj, samples=samples)})
+
+    @staticmethod
+    def _shift_t0(node):
+        traj = node.agent_trajectories["b"]
+        return replace(node, agent_trajectories={**node.agent_trajectories, "b": replace(traj, t0=traj.t0 + 0.1)})
+
+    @staticmethod
+    def _extra_agent(node):
+        return replace(node, agent_trajectories={**node.agent_trajectories, "c": node.agent_trajectories["a"]})
+
+    CHANGES = {
+        "sample moved 1e-9 m": _move_sample.__func__,
+        "probability changed 1e-12": lambda n: replace(n, branch_probability=n.branch_probability + 1e-12),
+        "missing node": lambda n: None,
+        "extra agent": _extra_agent.__func__,
+        "shifted t0": _shift_t0.__func__,
+    }
+
+    def test_true_ensemble_passes(self):
+        validate_causal_consistency(self._ensemble())
+
+    @pytest.mark.parametrize("what", sorted(CHANGES))
+    @pytest.mark.parametrize("mode_id, path", [(3, ()), (1, (1,)), (3, (0,)), (1, (0, 1)), (3, (1, 1)), (6, (0,))])
+    def test_corruption_raises_at_its_stage(self, what, mode_id, path):
+        ens = self._ensemble()
+        stage = len(path)
+        bad = self._corrupt(ens, mode_id, path, self.CHANGES[what])
+        with pytest.raises(CausalConsistencyViolation) as err:
+            validate_causal_consistency(bad)
+        exc = err.value
+        assert exc.stage == stage
+        assert mode_id in (exc.mode_a, exc.mode_b) and exc.mode_a != exc.mode_b
+        path_a = bad.modes[exc.mode_a].ego_path
+        path_b = bad.modes[exc.mode_b].ego_path
+        assert path_a[: stage + 1] == path_b[: stage + 1]
+
+    def test_stages_past_the_shared_prefix_are_not_compared(self):
+        """Modes 0 and 1 share the ego path only through stage 2; their
+        stage-3 nodes may differ."""
+        ens = self._ensemble()
+        assert ens.modes[0].ego_path[:3] == ens.modes[1].ego_path[:3]
+        assert ens.modes[0].ego_path[3] != ens.modes[1].ego_path[3]
+        validate_causal_consistency(self._corrupt(ens, 1, (0, 0, 0), self._move_sample))
+
+
+class TestScenarioTreeLookup:
+    def test_children_of_missing_path_raise(self):
+        nodes = {p: ScenarioNode(p, len(p), {}, 0.5 if p else 1.0) for p in [(), (0,), (1,)]}
+        tree = ScenarioTree(nodes=nodes, schedule=StageSchedule.uniform(1))
+        assert [n.path for n in tree.children(())] == [(0,), (1,)]
+        assert tree.children((1,)) == []
+        with pytest.raises(UnknownNode):
+            tree.children((2,))
+        with pytest.raises(UnknownNode):
+            tree.children((0, 0))
+
+    def test_plain_tree_is_its_own_tree_for_every_ego_node(self):
+        nodes = {(): ScenarioNode((), 0, {}, 1.0)}
+        tree = ScenarioTree(nodes=nodes, schedule=StageSchedule.uniform(1))
+        assert tree.tree_for_ego_node(0) is tree and tree.tree_for_ego_node(17) is tree
+
+    def test_ensemble_max_stage(self):
+        ens = TestCausalConsistencyCorruptions._ensemble()
+        assert ens.max_stage == 3

@@ -148,6 +148,27 @@ class TestClosedLoop:
         ys = [s["agents"]["lead"]["y"] for s in trace.steps]
         assert min(ys) > 3.0
 
+    def test_agents_sharing_an_id_prefix_draw_independently(self):
+        """Ids that differ only after byte 4 seed separate controller streams:
+        over 12 seeds, the two agents' cut-in draws do not all agree."""
+        behavior = {
+            "kind": "cut_in", "probability": 0.5, "trigger_time": 0.0,
+            "target_lane": "L0", "brake_probability": 0.0, "target_speed": 10.0,
+        }
+        agents = [
+            {**_lead_agent(x=x, y=3.5, v=10.0, behavior=behavior), "id": aid}
+            for aid, x in (("vehicle_a", 20.0), ("vehicle_b", 40.0))
+        ]
+        cut = {"vehicle_a": [], "vehicle_b": []}
+        for seed in range(12):
+            cfg = SimConfig(total_duration=1.0, seed=seed, ou=OUParams(sigma=0.0))
+            trace = self._run(planner="ncg", agents=agents, cfg=cfg)
+            for aid, draws in cut.items():
+                draws.append(min(s["agents"][aid]["y"] for s in trace.steps) < 2.5)
+        assert any(cut["vehicle_a"]) and not all(cut["vehicle_a"])
+        assert any(cut["vehicle_b"]) and not all(cut["vehicle_b"])
+        assert cut["vehicle_a"] != cut["vehicle_b"]
+
     def test_despawn_far_agent(self):
         far = _lead_agent(x=140.0, v=12.0)
         cfg = SimConfig(total_duration=6.0, seed=0)
