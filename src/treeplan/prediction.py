@@ -183,11 +183,13 @@ def predict_scenario_tree(
     schedule: StageSchedule,
     branching_factor: int,
     seed: int,
+    rollouts: dict,
 ) -> ScenarioTree:
     """Stage-by-stage scenario tree conditioned on one ego mode.
 
     Each node's expansion sees only the agents' concatenated histories and
     the ego motion through the current stage, never the ego's later stages.
+    `rollouts` is handed to every `predict_stage` call unchanged.
     """
     if branching_factor < 1:
         raise ValueError("branching_factor must be >= 1")
@@ -210,7 +212,7 @@ def predict_scenario_tree(
             history = _accumulate_history(base_history, nodes, node.path)
             key = _rng_key(seed, stage, node.path, ego_prefix)
             try:
-                hypotheses = predictor.predict_stage(history, ego_seg, stage, key)
+                hypotheses = predictor.predict_stage(history, ego_seg, stage, key, rollouts)
             except Exception as exc:  # noqa: BLE001 - context re-raise
                 raise PredictorFailure(stage, node.path, exc) from exc
             if len(hypotheses) > branching_factor:
@@ -246,20 +248,23 @@ def _accumulate_history(base_history: dict, nodes: dict, path: tuple) -> dict:
 class ECPredictionEnsemble:
     modes: tuple
     trees: dict  # mode_id -> ScenarioTree
+    _first_mode: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
+        first: dict = {}  # ego node id -> first mode through it
+        for mode in self.modes:
+            for node_id in mode.ego_path:
+                first.setdefault(node_id, mode)
+        object.__setattr__(self, "_first_mode", first)
 
     def mode_for_ego_node(self, ego_node_id: int) -> ECMode:
         """Lexicographically-first mode whose ego path passes through the node.
 
         Causal consistency makes the choice immaterial for any stage at or
-        before the node's stage.
+        before the node's stage. Raises KeyError for a node no mode passes.
         """
-        for mode in self.modes:
-            if ego_node_id in mode.ego_path:
-                return mode
-        raise KeyError(ego_node_id)
+        return self._first_mode[ego_node_id]
 
     def tree_for_ego_node(self, ego_node_id: int) -> ScenarioTree:
         return self.trees[self.mode_for_ego_node(ego_node_id).mode_id]
@@ -300,15 +305,21 @@ def predict_ensemble(
     branching_factor: int,
     seed: int,
 ) -> ECPredictionEnsemble:
-    """Flatten the ego tree, predict per mode, and validate consistency."""
+    """Flatten the ego tree, predict per mode, and validate consistency.
+
+    One rollout table serves every mode of this call and is dropped with it:
+    agent motion does not depend on the ego, so modes sharing an agent state
+    share its rollout, and nothing outlives the call.
+    """
     modes = flatten_ec_modes(tree)
     trees = {}
-    # modes are independent given the rng keying and may run concurrently
+    rollouts: dict = {}
+    # modes are independent given the rng keying; the shared table only spares repeated rollouts
     for mode in modes:
         if getattr(predictor, "conditions_on_full_mode", False):
             predictor.set_mode(mode)
         trees[mode.mode_id] = predict_scenario_tree(
-            predictor, scene, mode, schedule, branching_factor, seed
+            predictor, scene, mode, schedule, branching_factor, seed, rollouts
         )
     ensemble = ECPredictionEnsemble(modes=tuple(modes), trees=trees)
     validate_causal_consistency(ensemble)
@@ -339,15 +350,30 @@ class KinematicPredictor:
     yield_boost: float = 2.0
     yield_lateral: float = 2.0
 
-    def predict_stage(self, history: dict, ego_segment: Trajectory, stage: int, rng_key: int):
+    def predict_stage(
+        self, history: dict, ego_segment: Trajectory, stage: int, rng_key: int, rollouts: dict
+    ):
+        """Joint hypotheses for one stage.
+
+        The agents' motion does not depend on the ego, so each agent's
+        (maintain, brake) rollout is read from `rollouts`, keyed by the
+        agent's state, the braking deceleration and the stage's t0, duration
+        and dt, and computed only on a miss. The table belongs to one caller
+        and one predictor, so the lane map is not part of the key. The ego
+        segment sets the branch probabilities alone.
+        """
         del stage, rng_key  # deterministic model
-        duration = ego_segment.duration
-        dt = ego_segment.dt
+        t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
         per_agent = []
         for aid in sorted(history):
             state = history[aid].end
-            maintain = _advance_agent(state, 0.0, duration, dt, ego_segment.t0, self.lane_map)
-            brake = _advance_agent(state, -self.b_decel, duration, dt, ego_segment.t0, self.lane_map)
+            key = (state, self.b_decel, t0, duration, dt)
+            if key not in rollouts:
+                rollouts[key] = tuple(
+                    _advance_agent(state, accel, duration, dt, t0, self.lane_map)
+                    for accel in (0.0, -self.b_decel)
+                )
+            maintain, brake = rollouts[key]
             p_brake = self.brake_prior
             if _ego_crosses_in_front(ego_segment, state, self.tau_yield, self.yield_lateral):
                 p_brake *= self.yield_boost

@@ -279,6 +279,10 @@ class TrajectoryTree:
             if n.parent_id is not None:
                 kids[n.parent_id].append(n.id)
         object.__setattr__(self, "_children", {k: tuple(v) for k, v in kids.items()})
+        by_stage: dict = {}
+        for n in self.nodes:
+            by_stage.setdefault(n.stage, []).append(n)
+        object.__setattr__(self, "_by_stage", by_stage)
 
     @property
     def root_id(self) -> int:
@@ -291,15 +295,15 @@ class TrajectoryTree:
         return self._children[node_id]
 
     def stage_nodes(self, stage: int) -> list:
-        return [n for n in self.nodes if n.stage == stage]
+        """Nodes of one stage in `nodes` order (a fresh list)."""
+        return list(self._by_stage.get(stage, ()))
 
     def leaves(self) -> list:
-        last = max(n.stage for n in self.nodes)
-        return [n for n in self.nodes if n.stage == last]
+        return self.stage_nodes(self.max_stage)
 
     @property
     def max_stage(self) -> int:
-        return max(n.stage for n in self.nodes)
+        return max(self._by_stage)
 
     def path_to(self, node_id: int) -> tuple:
         """Root-to-node id sequence."""

@@ -226,8 +226,8 @@ class FuturePeekingPredictor(KinematicPredictor):
     def set_mode(self, mode: ECMode):
         self._mode_end = mode.ego_trajectory.end
 
-    def predict_stage(self, history, ego_segment, stage, rng_key):
-        hypotheses = super().predict_stage(history, ego_segment, stage, rng_key)
+    def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+        hypotheses = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
         # leak: shift every prediction by a function of the full ego future
         shift = 0.01 * self._mode_end.x
         out = []

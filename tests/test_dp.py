@@ -146,7 +146,7 @@ class TestOneScenarioInterface:
         )
         predictor = KinematicPredictor(lane_map=two_lane_map, branching_factor=4)
         modes = predict_ensemble(predictor, scene, tree, schedule, 4, 5).modes
-        shared = predict_scenario_tree(predictor, scene, modes[-1], schedule, 4, 5)
+        shared = predict_scenario_tree(predictor, scene, modes[-1], schedule, 4, 5, {})
         ensemble = ECPredictionEnsemble(modes=modes, trees={m.mode_id: shared for m in modes})
         assert ensemble.max_stage == shared.max_stage
         weights = CostWeights(goal=(200.0, 0.0))

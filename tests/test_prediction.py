@@ -18,6 +18,7 @@ from treeplan import (
     predict_ensemble,
     SamplerConfig,
 )
+from treeplan import prediction
 from treeplan.errors import CausalConsistencyViolation, PredictorFailure, UnknownNode
 from treeplan.prediction import (
     ECPredictionEnsemble,
@@ -93,7 +94,7 @@ class TestKinematicPredictor:
     def test_single_agent_two_modes(self):
         pred = KinematicPredictor(branching_factor=4)
         ego_seg = Trajectory(0.0, 0.1, (AgentState(-100, 0, 5, 0),) * 21)
-        hyps = pred.predict_stage(self._hist(a0=AgentState(0, 0, 8, 0)), ego_seg, 1, 0)
+        hyps = pred.predict_stage(self._hist(a0=AgentState(0, 0, 8, 0)), ego_seg, 1, 0, {})
         assert len(hyps) == 2
         probs = sorted(p for _, p in hyps)
         assert probs == pytest.approx([0.3, 0.7])
@@ -103,7 +104,7 @@ class TestKinematicPredictor:
         pred = KinematicPredictor(branching_factor=3)
         ego_seg = Trajectory(0.0, 0.1, (AgentState(-100, 0, 5, 0),) * 21)
         history = self._hist(a0=AgentState(0, 0, 8, 0), a1=AgentState(10, 3, 8, 0))
-        hyps = pred.predict_stage(history, ego_seg, 1, 0)
+        hyps = pred.predict_stage(history, ego_seg, 1, 0, {})
         assert len(hyps) == 3
         assert sum(p for _, p in hyps) == pytest.approx(1.0)
         # ordered by descending probability
@@ -115,8 +116,8 @@ class TestKinematicPredictor:
         agent = AgentState(0, 0, 8, 0)
         far = Trajectory(0.0, 0.1, (AgentState(-100, 50, 5, 0),) * 21)
         crossing = Trajectory(0.0, 0.1, tuple(AgentState(5.0 + k, 0.5, 5, 0) for k in range(21)))
-        p_brake_far = min(p for _, p in pred.predict_stage(self._hist(a0=agent), far, 1, 0))
-        p_brake_near = min(p for _, p in pred.predict_stage(self._hist(a0=agent), crossing, 1, 0))
+        p_brake_far = min(p for _, p in pred.predict_stage(self._hist(a0=agent), far, 1, 0, {}))
+        p_brake_near = min(p for _, p in pred.predict_stage(self._hist(a0=agent), crossing, 1, 0, {}))
         assert p_brake_near > p_brake_far
 
 
@@ -181,6 +182,91 @@ class TestEnsemble:
             assert len(t.nodes) <= 21
 
 
+class TestRolloutTable:
+    """predict_ensemble rolls each agent hypothesis out once per call."""
+
+    @staticmethod
+    def _inputs(lane_map):
+        sch = StageSchedule.uniform(2, stage_duration=1.0)
+        cfg = SamplerConfig(
+            accel_grid=(-2.0, 0.0, 2.0), yaw_rate_grid=(-0.1, 0.0, 0.1),
+            speed_grid=(), lateral_offsets=(), max_children=2,
+        )
+        tree = grow_tree(AgentState(0, 0, 8, 0), lane_map, sch, cfg, 3)
+        # a2 stands still, so its state opens both stages and only t0 tells the rollouts apart
+        agents = {
+            "a0": AgentState(15.0, 0.0, 6.0, 0.0),
+            "a1": AgentState(10.0, 3.5, 9.0, 0.0),
+            "a2": AgentState(30.0, 0.0, 0.0, 0.0),
+        }
+        return tree, Scene(agents=agents, lane_map=lane_map)
+
+    @staticmethod
+    def _predict(pred, tree, scene):
+        return predict_ensemble(pred, scene, tree, tree.schedule, pred.branching_factor, 7)
+
+    @staticmethod
+    def _count_rollouts(monkeypatch):
+        calls = []
+        real = prediction._advance_agent
+
+        def counted(state, accel, duration, dt, t0, lane_map):
+            calls.append((state, accel, t0))
+            return real(state, accel, duration, dt, t0, lane_map)
+
+        monkeypatch.setattr(prediction, "_advance_agent", counted)
+        return calls
+
+    @staticmethod
+    def _needed(ensemble, b_decel):
+        """(agent state, acceleration, stage start) of every rollout that an
+        expanded scenario node of some mode needs."""
+        need = set()
+        for scen in ensemble.trees.values():
+            for node in scen.nodes.values():
+                if not scen.children(node.path):
+                    continue
+                t0 = scen.schedule.stage_start(node.stage + 1)
+                for traj in node.agent_trajectories.values():
+                    need |= {(traj.end, 0.0, t0), (traj.end, -b_decel, t0)}
+        return need
+
+    def test_each_rollout_runs_once_per_call(self, monkeypatch, two_lane_map):
+        tree, scene = self._inputs(two_lane_map)
+        pred = KinematicPredictor(lane_map=two_lane_map, branching_factor=4)
+        calls = self._count_rollouts(monkeypatch)
+        ensemble = self._predict(pred, tree, scene)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == self._needed(ensemble, pred.b_decel)
+        stage_calls = sum(
+            len(scen.nodes) - len(scen.leaf_paths_with_probability()) for scen in ensemble.trees.values()
+        )
+        assert len(calls) < 2 * len(scene.agents) * stage_calls  # modes shared rollouts
+
+    def test_nothing_is_kept_across_calls(self, monkeypatch, two_lane_map):
+        tree, scene = self._inputs(two_lane_map)
+        pred = KinematicPredictor(lane_map=two_lane_map, branching_factor=4)
+        before = dict(vars(pred))
+        calls = self._count_rollouts(monkeypatch)
+        self._predict(pred, tree, scene)
+        first = list(calls)
+        assert vars(pred).keys() == before.keys()
+        assert all(vars(pred)[k] is v for k, v in before.items())
+        calls.clear()
+        self._predict(pred, tree, scene)
+        assert calls == first
+
+    def test_ensemble_equals_a_fresh_table_per_stage_call(self, two_lane_map):
+        class Fresh(KinematicPredictor):
+            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+                return super().predict_stage(history, ego_segment, stage, rng_key, {})
+
+        tree, scene = self._inputs(two_lane_map)
+        ensemble = self._predict(KinematicPredictor(lane_map=two_lane_map, branching_factor=4), tree, scene)
+        reference = self._predict(Fresh(lane_map=two_lane_map, branching_factor=4), tree, scene)
+        assert ensemble == reference
+
+
 class TestAdversarialPredictor:
     def test_future_peeking_predictor_caught(self):
         assert run_adversarial_consistency_case()
@@ -197,7 +283,7 @@ class TestAdversarialPredictor:
 class TestPredictorFailure:
     def test_failure_carries_stage_context(self):
         class Broken(KinematicPredictor):
-            def predict_stage(self, history, ego_segment, stage, rng_key):
+            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
                 raise RuntimeError("model exploded")
 
         tree, schedule = make_shared_prefix_tree()
@@ -302,6 +388,18 @@ class TestCausalConsistencyCorruptions:
         assert ens.modes[0].ego_path[:3] == ens.modes[1].ego_path[:3]
         assert ens.modes[0].ego_path[3] != ens.modes[1].ego_path[3]
         validate_causal_consistency(self._corrupt(ens, 1, (0, 0, 0), self._move_sample))
+
+
+class TestModeIndex:
+    def test_index_matches_the_scan_over_modes(self):
+        tree = _structural_tree(3, 2)
+        ens = TestCausalConsistencyCorruptions._ensemble()
+        for node in tree.nodes:
+            scan = next(m for m in ens.modes if node.id in m.ego_path)
+            assert ens.mode_for_ego_node(node.id) is scan
+            assert ens.tree_for_ego_node(node.id) is ens.trees[scan.mode_id]
+        with pytest.raises(KeyError):
+            ens.mode_for_ego_node(len(tree.nodes))
 
 
 class TestScenarioTreeLookup:

@@ -18,7 +18,7 @@ from treeplan import (
     project_to_lane,
 )
 from treeplan.errors import DegenerateDuration
-from treeplan.sampler import sample_terminals, segment_feasible, spline_to_trajectory
+from treeplan.sampler import TreeNode, TrajectoryTree, sample_terminals, segment_feasible, spline_to_trajectory
 from treeplan.verify import spline_residual
 
 
@@ -156,3 +156,23 @@ class TestGrowTree:
         for node in tree.nodes:
             for s in node.segment.samples:
                 assert 0.0 <= s.v <= limits.v_max + 1e-9
+
+
+class TestTreeStageIndex:
+    def test_stage_lookups_keep_node_order_and_lists(self):
+        """Nodes listed out of id and stage order come back in `nodes` order."""
+        spec = [(0, 0, None), (2, 1, 0), (4, 2, 2), (1, 1, 0), (3, 2, 1), (5, 2, 2)]
+        nodes = tuple(TreeNode(id=i, stage=s, parent_id=p, segment=None) for i, s, p in spec)
+        tree = TrajectoryTree(nodes=nodes, schedule=StageSchedule.uniform(2))
+        assert tree.max_stage == 2
+        for stage in range(4):
+            got = tree.stage_nodes(stage)
+            assert isinstance(got, list)
+            assert got == [n for n in nodes if n.stage == stage]
+        assert [n.id for n in tree.stage_nodes(1)] == [2, 1]
+        leaves = tree.leaves()
+        assert isinstance(leaves, list) and [n.id for n in leaves] == [4, 3, 5]
+        leaves.clear()  # callers get their own list
+        tree.stage_nodes(1).append(nodes[0])
+        assert [n.id for n in tree.leaves()] == [4, 3, 5]
+        assert [n.id for n in tree.stage_nodes(1)] == [2, 1]

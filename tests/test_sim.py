@@ -208,3 +208,96 @@ class TestClosedLoop:
         # a fresh plan id appears at every 2 s boundary
         assert plan_ids[0].endswith(":n1") or "@0.0" in plan_ids[0]
         assert len({pid.split(":")[0] for pid in plan_ids}) >= 2
+
+
+class TestStageAdvance:
+    """Replanning every 4 s over 2 s stages: at t = 2 s the ego moves on to a
+    stage-2 node of the current plan without growing a new tree."""
+
+    BRAKE = {
+        "kind": "cut_in", "probability": 1.0, "trigger_time": 0.0, "target_lane": "L1",
+        "brake_probability": 1.0, "brake_decel": 4.0, "brake_duration": 3.0, "target_speed": 10.0,
+    }
+
+    @staticmethod
+    def _run(monkeypatch, planner, agent, drop_advance_keys=False):
+        """Run 4 s and return the trace, the grown trees and what each planner returned."""
+        import treeplan.sim as sim
+        from treeplan.dp import PolicyTable
+
+        seen = {"trees": [], "ensembles": [], "policies": [], "paths": []}
+
+        def record(name, fn, key=None):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name].append(key(out) if key else out)
+                return out
+            monkeypatch.setattr(sim, fn.__name__, wrapped)
+
+        def solve(*args, **kwargs):
+            values, policy = solve_policy(*args, **kwargs)
+            if drop_advance_keys:
+                root = policy.pi[(0, ())]
+                policy = PolicyTable({k: v for k, v in policy.pi.items() if k[0] != root})
+            seen["policies"].append(policy)
+            return values, policy
+
+        solve_policy = sim.solve_policy_ec
+        record("trees", sim.grow_tree)
+        record("ensembles", sim.predict_ensemble)
+        record("paths", sim.plan_ncr, key=lambda nc: nc.path)
+        record("paths", sim.plan_ncg, key=lambda nc: nc.path)
+        monkeypatch.setattr(sim, "solve_policy_ec", solve)
+
+        scenario = parse_scenario(_scenario_doc([agent]))
+        cfg = SimConfig(total_duration=4.0, replan_period=4.0, seed=0, ou=OUParams(sigma=0.0))
+        trace = run_closed_loop(scenario, planner, cfg, PlannerConfig())
+        return trace, seen
+
+    @staticmethod
+    def _assert_follows(trace, segment):
+        """Steps 20..39 (t = 2.1 .. 4.0) lie on the given stage-2 segment."""
+        for step in range(20, 40):
+            want = segment.state_at(step * 0.1 + 0.1)
+            assert trace.steps[step]["ego"] == {"x": want.x, "y": want.y, "v": want.v, "psi": want.psi}
+
+    @pytest.mark.parametrize(
+        "agent, branch",
+        [
+            (_lead_agent(x=20.0, y=3.5, v=12.0), 0),  # keeps its speed
+            (_lead_agent(x=20.0, y=3.5, v=10.0, behavior=BRAKE), 1),  # brakes at 4 m/s^2
+        ],
+    )
+    def test_tpp_takes_the_policy_choice_for_the_nearest_branch(self, monkeypatch, agent, branch):
+        trace, seen = self._run(monkeypatch, "tpp", agent)
+        assert len(seen["trees"]) == 1  # the advance grew no tree
+        tree, ensemble, policy = seen["trees"][0], seen["ensembles"][0], seen["policies"][0]
+        n1 = policy.pi[(tree.root_id, ())]
+        at_2s = trace.steps[19]["agents"]  # agent states when the stage ends
+
+        def distance(child):
+            return sum(
+                math.hypot(traj.end.x - at_2s[aid]["x"], traj.end.y - at_2s[aid]["y"])
+                for aid, traj in child.agent_trajectories.items()
+            )
+
+        kids = ensemble.tree_for_ego_node(n1).children(())
+        observed = min(kids, key=distance).path
+        assert observed == (branch,)
+        self._assert_follows(trace, tree.node(policy.pi[(n1, observed)]).segment)
+        assert {s["plan_id"] for s in trace.steps} == {trace.steps[0]["plan_id"]}
+
+    def test_missing_policy_entry_replans(self, monkeypatch):
+        trace, seen = self._run(monkeypatch, "tpp", _lead_agent(x=20.0, y=3.5, v=12.0), drop_advance_keys=True)
+        assert len(seen["trees"]) == 2
+        assert trace.steps[19]["plan_id"].startswith("tpp@0.0:")
+        assert trace.steps[20]["plan_id"].startswith("tpp@2.1:")
+        assert "planner_error" not in trace.steps[20]["events"]
+
+    @pytest.mark.parametrize("planner", ["ncr", "ncg"])
+    def test_non_contingent_planners_advance_along_their_path(self, monkeypatch, planner):
+        trace, seen = self._run(monkeypatch, planner, _lead_agent(x=20.0, y=3.5, v=10.0, behavior=self.BRAKE))
+        assert len(seen["trees"]) == 1 and len(seen["paths"]) == 1
+        path = seen["paths"][0]
+        self._assert_follows(trace, seen["trees"][0].node(path[2]).segment)
+        assert {s["plan_id"] for s in trace.steps} == {trace.steps[0]["plan_id"]}
