@@ -34,12 +34,11 @@ from .prediction import (
     predict_scenario_tree,
     validate_causal_consistency,
 )
-from .costs import CostTensor, CostWeights, build_cost_tensor, build_cost_tensor_ec, running_cost, stage_cost
+from .costs import CostTensor, CostWeights, build_cost_tensor, build_cost_tensor_ec
 from .dp import (
     PolicyTable,
     ValueTable,
     brute_force_value,
-    execute_policy,
     policy_expected_cost,
     solve_policy,
     solve_policy_ec,

@@ -22,7 +22,7 @@ from .config import (
 )
 from .errors import ScenarioError, TooLarge, TreeplanError
 from .metrics import crash_and_offroad_rates, kde_coverage
-from .sim import SimConfig, run_closed_loop
+from .sim import run_closed_loop
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -44,18 +44,9 @@ def cmd_run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     planner = args.planner or cfg.planner
-    sim_cfg = replace(cfg.sim, seed=args.seed if args.seed is not None else cfg.seed)
+    seed = args.seed if args.seed is not None else cfg.seed
     try:
-        trace = run_closed_loop(scenario, planner, sim_cfg, cfg)
-        crash, offroad = crash_and_offroad_rates(trace)
-        report = {
-            "scenario": scenario.name,
-            "planner": planner,
-            "seed": sim_cfg.seed,
-            "crash_rate": crash,
-            "offroad_rate": offroad,
-            "coverage": kde_coverage(trace),
-        }
+        trace, report = run_episode(scenario, planner, cfg, seed)
     except ScenarioError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -70,11 +61,10 @@ def cmd_run(args) -> int:
 
 
 def run_episode(scenario, planner: str, cfg: PlannerConfig, seed: int):
-    """One evaluation episode; returns the per-episode CSV row dict."""
-    sim_cfg = replace(cfg.sim, seed=seed)
-    trace = run_closed_loop(scenario, planner, sim_cfg, cfg)
+    """One evaluation episode; returns its trace and its per-episode CSV row dict."""
+    trace = run_closed_loop(scenario, planner, replace(cfg.sim, seed=seed), cfg)
     crash, offroad = crash_and_offroad_rates(trace)
-    return {
+    return trace, {
         "scenario": scenario.name,
         "planner": planner,
         "seed": seed,
@@ -135,7 +125,7 @@ def cmd_eval(args) -> int:
     # episodes are independent; results merge in deterministic job order
     for scenario, planner, seed in jobs:
         try:
-            rows.append(run_episode(scenario, planner, cfg, seed))
+            rows.append(run_episode(scenario, planner, cfg, seed)[1])
         except TreeplanError as exc:
             errors.append(f"{scenario.name}/{planner}/{seed}: {exc}")
     for err in errors:

@@ -40,7 +40,7 @@ def _state_from(d: dict) -> AgentState:
     return AgentState(x=float(d["x"]), y=float(d["y"]), v=float(d["v"]), psi=float(d["psi"]))
 
 
-def _state_to(s: AgentState) -> dict:
+def state_to_dict(s: AgentState) -> dict:
     return {"x": s.x, "y": s.y, "v": s.v, "psi": s.psi}
 
 
@@ -272,14 +272,14 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
             ],
         },
         "ego": {
-            "state": _state_to(spec.ego_state),
+            "state": state_to_dict(spec.ego_state),
             "footprint": {"length": spec.ego_footprint.length, "width": spec.ego_footprint.width},
             "goal": [spec.goal[0], spec.goal[1]],
         },
         "agents": [
             {
                 "id": a.id,
-                "state": _state_to(a.state),
+                "state": state_to_dict(a.state),
                 "footprint": {"length": a.footprint.length, "width": a.footprint.width},
                 "behavior": a.behavior,
             }

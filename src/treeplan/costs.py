@@ -1,10 +1,11 @@
-"""Running cost and its stage integral.
+"""Stage-cost tensors over same-stage (ego node, scenario node) pairs.
 
-Terms: collision proximity (exponential in clearance, 1 at contact), lane
-keeping (lateral offset and heading error), goal progress (remaining distance,
-normalized), and ride comfort (squared accel and yaw rate from finite
-differences). Stage costs integrate the running cost with the trapezoid rule
-over the aligned ego/environment samples.
+The running cost has four terms: collision proximity (exponential in
+clearance, 1 at contact), lane keeping (lateral offset and heading error),
+goal progress (remaining distance, normalized), and ride comfort (squared
+accel and yaw rate from finite differences). A stage cost integrates it with
+the trapezoid rule over the aligned ego/environment samples; each ego node is
+evaluated against all same-stage scenario nodes in one batch.
 """
 
 from __future__ import annotations
@@ -15,17 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleMismatch
-from .prediction import ECPredictionEnsemble, ScenarioNode, ScenarioTree
+from .prediction import ECPredictionEnsemble, ScenarioTree
 from .sampler import TrajectoryTree
 from .world import (
-    AgentState,
     Footprint,
     LaneGraph,
     Trajectory,
     obb_clearance,
-    project_to_lane,
     project_to_lane_batch,
-    wrap_angle,
     wrap_angles,
 )
 
@@ -51,47 +49,6 @@ class CostWeights:
             object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
 
 
-def running_cost(
-    ego: AgentState,
-    ego_fp: Footprint,
-    env: dict,
-    lane_map: LaneGraph | None,
-    weights: CostWeights,
-    accel: float = 0.0,
-    yaw_rate: float = 0.0,
-    goal_norm: float = 1.0,
-) -> float:
-    """Instantaneous cost of one ego state against one joint environment state.
-
-    env maps agent_id -> (AgentState, Footprint). accel/yaw_rate supply the
-    comfort term (finite-differenced by callers that have trajectory context).
-    """
-    cost = 0.0
-    if weights.w_collision > 0:
-        for state, fp in env.values():
-            d = float(
-                obb_clearance(ego.x, ego.y, ego.psi, ego_fp, state.x, state.y, state.psi, fp)
-            )
-            cost += weights.w_collision * math.exp(-d / weights.collision_scale)
-    if weights.w_lane > 0 and lane_map is not None and lane_map.lanes:
-        lat, herr = _lane_errors(ego.x, ego.y, ego.psi, lane_map)
-        cost += weights.w_lane * (lat**2 + herr**2)
-    if weights.w_goal > 0 and weights.goal is not None:
-        d = math.hypot(ego.x - weights.goal[0], ego.y - weights.goal[1])
-        cost += weights.w_goal * d / max(goal_norm, 1e-9)
-    cost += weights.w_comfort * (accel**2 + yaw_rate**2)
-    return cost
-
-
-def _lane_errors(x: float, y: float, psi: float, lane_map: LaneGraph):
-    best = (math.inf, 0.0)
-    for lane in lane_map.lanes:
-        _, lat, heading = project_to_lane((x, y), lane.centerline)
-        if abs(lat) < abs(best[0]):
-            best = (lat, wrap_angle(psi - heading))
-    return best
-
-
 def _lane_errors_batch(xs, ys, psis, lane_map: LaneGraph):
     """Per-sample (lateral offset, heading error) against the nearest lane."""
     pts = np.column_stack([xs, ys])
@@ -106,25 +63,10 @@ def _lane_errors_batch(xs, ys, psis, lane_map: LaneGraph):
     return best_lat, best_herr
 
 
-def ego_per_sample_cost(
-    ego_segment: Trajectory,
-    lane_map: LaneGraph | None,
-    weights: CostWeights,
-    goal_norm: float = 1.0,
-) -> np.ndarray:
-    """Per-sample running cost of the terms that depend on the ego alone:
-    lane keeping, goal progress, and comfort. Shared across every scenario
-    node evaluated against the same ego segment."""
-    return _ego_terms(ego_segment.arrays(), ego_segment.dt, lane_map, weights, goal_norm)
-
-
 def _ego_terms(arrays, dt, lane_map, weights, goal_norm):
+    """Per-sample lane, goal and comfort terms, which depend on the ego alone."""
     xs, ys, vs, psis = arrays
-    n = len(xs)
-    per_sample = np.zeros(n)
-    if n < 2:
-        return per_sample
-
+    per_sample = np.zeros(len(xs))
     if weights.w_lane > 0 and lane_map is not None and lane_map.lanes:
         lat, herr = _lane_errors_batch(xs, ys, psis, lane_map)
         per_sample += weights.w_lane * (lat**2 + herr**2)
@@ -164,7 +106,6 @@ def _stage_costs(
     ego_fp: Footprint,
     agent_fps: dict,
     goal_norm: float,
-    ego_terms: np.ndarray | None,
     arrays: _ArrayCache,
 ) -> np.ndarray:
     """Stage costs of one ego segment against S same-stage scenario nodes.
@@ -183,9 +124,7 @@ def _stage_costs(
         return np.zeros(len(env_nodes))
 
     xs, ys, vs, psis = arrays(ego_segment)
-    if ego_terms is None:
-        ego_terms = _ego_terms((xs, ys, vs, psis), dt, lane_map, weights, goal_norm)
-    per_sample = np.tile(np.asarray(ego_terms, dtype=float), (len(env_nodes), 1))
+    per_sample = np.tile(_ego_terms((xs, ys, vs, psis), dt, lane_map, weights, goal_norm), (len(env_nodes), 1))
 
     if weights.w_collision > 0:
         groups: dict = {}  # agent order -> rows of the nodes that share it
@@ -203,34 +142,6 @@ def _stage_costs(
 
 
 @dataclass(frozen=True)
-class StageCost:
-    value: float
-
-
-def stage_cost(
-    ego_segment: Trajectory,
-    env_node: ScenarioNode,
-    lane_map: LaneGraph | None,
-    weights: CostWeights,
-    ego_fp: Footprint = DEFAULT_FOOTPRINT,
-    agent_fps: dict | None = None,
-    goal_norm: float = 1.0,
-    ego_terms: np.ndarray | None = None,
-) -> StageCost:
-    """Trapezoidal integral of the running cost over one stage.
-
-    The ego segment and every agent trajectory in the node must share the
-    same sample count and dt. Zero-duration (root) segments cost 0.
-    ego_terms optionally carries a precomputed ego_per_sample_cost array.
-    """
-    costs = _stage_costs(
-        ego_segment, [env_node], lane_map, weights, ego_fp, agent_fps or {}, goal_norm,
-        ego_terms, _ArrayCache(),
-    )
-    return StageCost(float(costs[0]))
-
-
-@dataclass(frozen=True)
 class CostTensor:
     """Stage costs for same-stage (ego node, scenario node) pairs.
 
@@ -241,9 +152,6 @@ class CostTensor:
 
     def get(self, ego_id: int, scen_path: tuple) -> float:
         return self.values[(ego_id, scen_path)]
-
-    def scaled(self, factor: float) -> "CostTensor":
-        return CostTensor({k: factor * v for k, v in self.values.items()})
 
 
 def _goal_norm(tree: TrajectoryTree, weights: CostWeights) -> float:
@@ -274,7 +182,7 @@ def build_cost_tensor(
     for ego_node in tree.nodes:
         scen_nodes = scenario.tree_for_ego_node(ego_node.id).stage_nodes(ego_node.stage)
         costs = _stage_costs(
-            ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, None, arrays
+            ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
         )
         values.update(zip(((ego_node.id, scen.path) for scen in scen_nodes), costs.tolist()))
     return CostTensor(values)

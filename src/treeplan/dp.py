@@ -3,8 +3,7 @@
 Backward recursion over same-stage (ego node, scenario node) pairs, for a
 single scenario tree or an ego-conditioned ensemble (both resolve an ego node
 to its scenario tree through tree_for_ego_node), plus an exhaustive
-enumeration oracle that certifies optimality on small instances, and policy
-execution back into a continuous trajectory.
+enumeration oracle that certifies optimality on small instances.
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 from .costs import CostTensor
-from .errors import StructureError, TooLarge, UnknownNode
+from .errors import StructureError, TooLarge
 from .prediction import ECPredictionEnsemble, ScenarioTree
 from .sampler import TrajectoryTree
-from .world import Trajectory, concat_trajectories
 
 
 @dataclass(frozen=True)
@@ -155,25 +153,3 @@ def brute_force_value(
         if value < best_value - 1e-15:
             best_value, best_policy = value, policy
     return best_value, best_policy
-
-
-def execute_policy(
-    tree: TrajectoryTree, policy: PolicyTable, observed
-) -> Trajectory:
-    """Concatenate the segments the policy selects along observed branches.
-
-    observed is the stage-wise sequence of realized scenario node paths
-    (stages 0..N-1 suffice; extra entries are ignored).
-    """
-    segments = [tree.node(tree.root_id).segment]
-    ego_id = tree.root_id
-    for stage in range(tree.max_stage):
-        if stage >= len(observed):
-            break
-        scen_path = observed[stage]
-        key = (ego_id, tuple(scen_path))
-        if key not in policy.pi:
-            raise UnknownNode(f"no policy entry for {key}")
-        ego_id = policy.pi[key]
-        segments.append(tree.node(ego_id).segment)
-    return concat_trajectories(segments)

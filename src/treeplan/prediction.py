@@ -19,12 +19,10 @@ from .errors import CausalConsistencyViolation, PredictorFailure, UnknownNode
 from .sampler import StageSchedule, TrajectoryTree
 from .world import (
     AgentState,
-    Footprint,
     LaneGraph,
     Trajectory,
     concat_trajectories,
     project_to_lane,
-    lane_point_at,
     lane_points_at_batch,
 )
 

@@ -259,7 +259,6 @@ class TreeNode:
     stage: int
     parent_id: int | None
     segment: Trajectory | None
-    spline: SplineSegment | None = None
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,7 @@ def grow_tree(
                 survivors = [survivors[k] for k in keep]
             for term, spline in survivors:
                 seg = spline_to_trajectory(spline, start, term, dt, t0)
-                child = TreeNode(id=next_id, stage=stage, parent_id=parent.id, segment=seg, spline=spline)
+                child = TreeNode(id=next_id, stage=stage, parent_id=parent.id, segment=seg)
                 nodes.append(child)
                 new_frontier.append(child)
                 next_id += 1

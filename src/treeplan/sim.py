@@ -23,6 +23,7 @@ from .config import (
     SimConfig,
     config_hash,
     scenario_to_dict,
+    state_to_dict,
 )
 from .costs import build_cost_tensor_ec
 from .dp import solve_policy_ec
@@ -143,10 +144,6 @@ class _AgentController:
 class SimTrace:
     steps: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-
-def _state_dict(s: AgentState) -> dict:
-    return {"x": s.x, "y": s.y, "v": s.v, "psi": s.psi}
 
 
 def _leader_info(state: AgentState, others: dict, lane_map, headway: float):
@@ -369,8 +366,8 @@ def run_closed_loop(
         trace.steps.append(
             {
                 "t": round(t + cfg.sim_dt, 9),
-                "ego": _state_dict(ego),
-                "agents": {aid: _state_dict(agents[aid]) for aid in sorted(agents)},
+                "ego": state_to_dict(ego),
+                "agents": {aid: state_to_dict(agents[aid]) for aid in sorted(agents)},
                 "plan_id": plan.plan_id,
                 "events": events,
             }

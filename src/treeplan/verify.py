@@ -21,7 +21,6 @@ from .prediction import (
     ScenarioNode,
     ScenarioTree,
     predict_ensemble,
-    validate_causal_consistency,
 )
 from .sampler import (
     SamplerConfig,
@@ -32,7 +31,7 @@ from .sampler import (
     grow_tree,
     spline_to_trajectory,
 )
-from .world import AgentState, DynamicsLimits
+from .world import AgentState, DynamicsLimits, Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def random_scenario_tree(rng: np.random.Generator, num_stages: int, max_branch: 
     return ScenarioTree(nodes=nodes, schedule=StageSchedule.uniform(num_stages))
 
 
-def random_costs(rng: np.random.Generator, tree: TrajectoryTree, view_pairs) -> CostTensor:
+def random_costs(rng: np.random.Generator, view_pairs) -> CostTensor:
     return CostTensor({key: float(rng.uniform(0.0, 10.0)) for key in view_pairs})
 
 
@@ -93,7 +92,7 @@ def random_dp_instance(rng: np.random.Generator, policy_cap: int = 2000):
         tree = random_tree(rng, num_stages, max_branch)
         scenario = random_scenario_tree(rng, num_stages, int(rng.integers(1, 4)))
         if count_policies(tree, scenario) <= policy_cap:
-            costs = random_costs(rng, tree, _pairs_plain(tree, scenario))
+            costs = random_costs(rng, _pairs_plain(tree, scenario))
             return tree, scenario, costs
 
 
@@ -167,7 +166,7 @@ def random_ec_instance(rng: np.random.Generator, policy_cap: int = 3000):
             scen_tree = ensemble.tree_for_ego_node(ego_node.id)
             for scen in scen_tree.stage_nodes(ego_node.stage):
                 keys.append((ego_node.id, scen.path))
-        costs = random_costs(rng, tree, keys)
+        costs = random_costs(rng, keys)
         return tree, ensemble, costs
 
 
@@ -250,19 +249,17 @@ def make_shared_prefix_tree(dt: float = 0.1) -> tuple:
     """Ego tree with one stage-1 node and two stage-2 children (2 modes)."""
     schedule = StageSchedule((0.0, 1.0, 1.0), dt)
     s0 = AgentState(0.0, 0.0, 5.0, 0.0)
-    from .world import Trajectory
-
     root = TreeNode(id=0, stage=0, parent_id=None, segment=Trajectory(0.0, dt, (s0,)))
     s1 = AgentState(5.0, 0.0, 5.0, 0.0)
     sp1 = fit_spline(s0, s1, 1.0, dt)
-    n1 = TreeNode(id=1, stage=1, parent_id=0, segment=spline_to_trajectory(sp1, s0, s1, dt, 0.0), spline=sp1)
+    n1 = TreeNode(id=1, stage=1, parent_id=0, segment=spline_to_trajectory(sp1, s0, s1, dt, 0.0))
     kids = []
     for k, term in enumerate(
         [AgentState(10.0, 0.0, 5.0, 0.0), AgentState(9.0, 1.5, 4.0, 0.3)]
     ):
         sp = fit_spline(s1, term, 1.0, dt)
         kids.append(
-            TreeNode(id=2 + k, stage=2, parent_id=1, segment=spline_to_trajectory(sp, s1, term, dt, 1.0), spline=sp)
+            TreeNode(id=2 + k, stage=2, parent_id=1, segment=spline_to_trajectory(sp, s1, term, dt, 1.0))
         )
     tree = TrajectoryTree(nodes=(root, n1, *kids), schedule=schedule)
     return tree, schedule

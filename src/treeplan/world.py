@@ -46,9 +46,6 @@ class AgentState:
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.v, self.psi])
-
 
 @dataclass(frozen=True)
 class UnicycleInput:
@@ -165,11 +162,6 @@ class Lane:
         object.__setattr__(self, "centerline", cl)
         object.__setattr__(self, "successors", tuple(self.successors))
 
-    @property
-    def length(self) -> float:
-        seg = np.diff(self.centerline, axis=0)
-        return float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-
 
 @dataclass(frozen=True)
 class LaneGraph:
@@ -275,27 +267,6 @@ def footprint_corners(x, y, psi, fp: Footprint) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def _box_axes(psi) -> np.ndarray:
-    """The two face normals of an oriented rectangle, shape (..., 2, 2)."""
-    psi = np.asarray(psi, dtype=float)
-    c, s = np.cos(psi), np.sin(psi)
-    return np.stack(
-        [np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)], axis=-2
-    )
-
-
-def obb_overlap(corners_a: np.ndarray, corners_b: np.ndarray, axes: np.ndarray):
-    """Separating-axis overlap test, vectorized over leading dims.
-
-    corners_*: (..., 4, 2); axes: (..., k, 2). Returns boolean array (...,).
-    Touching boxes count as overlapping.
-    """
-    pa = np.einsum("...ij,...kj->...ki", corners_a, axes)  # (..., k, 4)
-    pb = np.einsum("...ij,...kj->...ki", corners_b, axes)
-    sep = (pa.max(axis=-1) < pb.min(axis=-1)) | (pb.max(axis=-1) < pa.min(axis=-1))
-    return ~np.any(sep, axis=-1)
-
-
 def _corners_in_frame(cu, cv, c, s, fp: Footprint):
     """Corners of a box with centre (cu, cv) and heading atan2(s, c) in
     another box's body frame: two arrays of shape (4, ...)."""
@@ -351,11 +322,9 @@ def obb_clearance(
 def check_collision(
     ego: AgentState, ego_fp: Footprint, other: AgentState, other_fp: Footprint
 ) -> bool:
-    """True iff the two oriented footprint rectangles overlap (SAT)."""
-    ca = footprint_corners(ego.x, ego.y, ego.psi, ego_fp)
-    cb = footprint_corners(other.x, other.y, other.psi, other_fp)
-    axes = np.concatenate([_box_axes(ego.psi), _box_axes(other.psi)], axis=-2)
-    return bool(obb_overlap(ca, cb, axes))
+    """True iff the two oriented footprint rectangles overlap (touching counts)."""
+    d = obb_clearance(ego.x, ego.y, ego.psi, ego_fp, other.x, other.y, other.psi, other_fp)
+    return bool(d == 0.0)
 
 
 def point_in_polygon(px: float, py: float, poly: np.ndarray) -> bool:

@@ -1,4 +1,4 @@
-"""Running cost terms and their stage integrals."""
+"""Stage-cost terms and the batched cost tensor, against a scalar reference."""
 
 import math
 
@@ -13,16 +13,15 @@ from treeplan import (
     LaneGraph,
     StageSchedule,
     Trajectory,
-    running_cost,
 )
 from treeplan.costs import (
     DEFAULT_FOOTPRINT,
-    _lane_errors,
+    _ArrayCache,
+    _ego_terms,
     _lane_errors_batch,
+    _stage_costs,
     build_cost_tensor,
     build_cost_tensor_ec,
-    ego_per_sample_cost,
-    stage_cost,
 )
 from treeplan.errors import ScheduleMismatch
 from treeplan.prediction import (
@@ -33,7 +32,41 @@ from treeplan.prediction import (
     predict_ensemble,
 )
 from treeplan.sampler import SamplerConfig, grow_tree
-from treeplan.world import wrap_angle
+from treeplan.world import obb_clearance, project_to_lane, wrap_angle
+
+
+def running_cost(ego, ego_fp, env, lane_map, weights, accel=0.0, yaw_rate=0.0, goal_norm=1.0):
+    """Scalar reference: instantaneous cost of one ego state against one joint
+    environment state. env maps agent_id -> (AgentState, Footprint)."""
+    cost = 0.0
+    if weights.w_collision > 0:
+        for state, fp in env.values():
+            d = float(obb_clearance(ego.x, ego.y, ego.psi, ego_fp, state.x, state.y, state.psi, fp))
+            cost += weights.w_collision * math.exp(-d / weights.collision_scale)
+    if weights.w_lane > 0 and lane_map is not None and lane_map.lanes:
+        lat, herr = _lane_errors(ego.x, ego.y, ego.psi, lane_map)
+        cost += weights.w_lane * (lat**2 + herr**2)
+    if weights.w_goal > 0 and weights.goal is not None:
+        d = math.hypot(ego.x - weights.goal[0], ego.y - weights.goal[1])
+        cost += weights.w_goal * d / max(goal_norm, 1e-9)
+    cost += weights.w_comfort * (accel**2 + yaw_rate**2)
+    return cost
+
+
+def _lane_errors(x, y, psi, lane_map):
+    """Scalar reference for _lane_errors_batch."""
+    best = (math.inf, 0.0)
+    for lane in lane_map.lanes:
+        _, lat, heading = project_to_lane((x, y), lane.centerline)
+        if abs(lat) < abs(best[0]):
+            best = (lat, wrap_angle(psi - heading))
+    return best
+
+
+def stage_cost(seg, node, lane_map, weights, ego_fp=DEFAULT_FOOTPRINT, agent_fps=None, goal_norm=1.0):
+    """Stage cost of one (ego segment, scenario node) pair: _stage_costs with S = 1."""
+    costs = _stage_costs(seg, [node], lane_map, weights, ego_fp, agent_fps or {}, goal_norm, _ArrayCache())
+    return float(costs[0])
 
 
 def _const_traj(state, n, dt=0.1, t0=0.0):
@@ -41,27 +74,29 @@ def _const_traj(state, n, dt=0.1, t0=0.0):
 
 
 class TestRunningCost:
+    """Single terms through a stage of one 1 s step: the trapezoid of a
+    constant integrand c over [0, 1] is c itself."""
+
     def test_collision_term_at_one_scale(self):
         """Clearance equal to collision_scale gives exactly e^-1."""
         w = CostWeights(w_collision=1.0, w_lane=0.0, w_goal=0.0, w_comfort=0.0, collision_scale=2.0)
-        ego = AgentState(0, 0, 5, 0)
+        seg = _const_traj(AgentState(0, 0, 5, 0), 2, dt=1.0)
         # 4.6 m boxes nose to tail: clearance = gap - length = 6.6 - 4.6 = 2
-        env = {"a": (AgentState(6.6, 0, 5, 0), DEFAULT_FOOTPRINT)}
-        c = running_cost(ego, DEFAULT_FOOTPRINT, env, None, w)
-        assert c == pytest.approx(math.exp(-1.0), abs=1e-9)
+        node = ScenarioNode((0,), 1, {"a": _const_traj(AgentState(6.6, 0, 5, 0), 2, dt=1.0)}, 1.0)
+        assert stage_cost(seg, node, None, w) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_collision_term_is_one_at_contact(self):
         w = CostWeights(w_collision=1.0, w_lane=0.0, w_goal=0.0, w_comfort=0.0)
-        ego = AgentState(0, 0, 5, 0)
-        env = {"a": (AgentState(1.0, 0, 5, 0), DEFAULT_FOOTPRINT)}
-        c = running_cost(ego, DEFAULT_FOOTPRINT, env, None, w)
-        assert c == pytest.approx(1.0)
+        seg = _const_traj(AgentState(0, 0, 5, 0), 2, dt=1.0)
+        node = ScenarioNode((0,), 1, {"a": _const_traj(AgentState(1.0, 0, 5, 0), 2, dt=1.0)}, 1.0)
+        assert stage_cost(seg, node, None, w) == pytest.approx(1.0)
 
     def test_comfort_term(self):
+        """Accel 2 and yaw rate 0.3 held over the step."""
         w = CostWeights(w_collision=0.0, w_lane=0.0, w_goal=0.0, w_comfort=0.5)
-        c = running_cost(AgentState(0, 0, 5, 0), DEFAULT_FOOTPRINT, {}, None, w,
-                         accel=2.0, yaw_rate=0.3)
-        assert c == pytest.approx(0.5 * (4.0 + 0.09))
+        seg = Trajectory(0.0, 1.0, (AgentState(0, 0, 5, 0), AgentState(0, 0, 7, 0.3)))
+        node = ScenarioNode((), 1, {}, 1.0)
+        assert stage_cost(seg, node, None, w) == pytest.approx(0.5 * (4.0 + 0.09))
 
 
 class TestStageCost:
@@ -80,14 +115,13 @@ class TestStageCost:
         samples = tuple(AgentState(-2.0 + 0.1 * k, 0.0, 1.0, 0.0) for k in range(n))
         seg = Trajectory(0.0, 0.1, samples)
         node = ScenarioNode((), 1, {}, 1.0)
-        c = stage_cost(seg, node, None, w, goal_norm=1.0)
-        assert c.value == pytest.approx(2.0, abs=1e-12)
+        assert stage_cost(seg, node, None, w, goal_norm=1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_duration_segment_costs_nothing(self):
         w = self._weights(w_goal=1.0)
         seg = Trajectory(0.0, 0.1, (AgentState(0, 0, 5, 0),))
         node = ScenarioNode((), 0, {}, 1.0)
-        assert stage_cost(seg, node, None, CostWeights(goal=(10.0, 0.0))).value == 0.0
+        assert stage_cost(seg, node, None, CostWeights(goal=(10.0, 0.0))) == 0.0
 
     def test_mismatched_support_raises(self):
         seg = _const_traj(AgentState(0, 0, 5, 0), 21)
@@ -100,20 +134,7 @@ class TestStageCost:
         w = self._weights(w_collision=1.0, collision_scale=2.0)
         seg = _const_traj(AgentState(0, 0, 5, 0), 21)
         node = ScenarioNode((0,), 1, {"a": _const_traj(AgentState(6.6, 0, 5, 0), 21)}, 1.0)
-        c = stage_cost(seg, node, None, w)
-        assert c.value == pytest.approx(2.0 * math.exp(-1.0), abs=1e-9)
-
-    def test_precomputed_ego_terms_match(self):
-        lane = Lane("L", np.array([[0.0, 0.0], [100.0, 0.0]]), 10.0)
-        lm = LaneGraph((lane,), (np.array([[0, -4], [100, -4], [100, 4], [0, 4]], dtype=float),))
-        w = CostWeights(goal=(50.0, 0.0))
-        samples = tuple(AgentState(0.5 * k, 0.3, 5.0, 0.01) for k in range(21))
-        seg = Trajectory(0.0, 0.1, samples)
-        node = ScenarioNode((0,), 1, {"a": _const_traj(AgentState(30, 0, 5, 0), 21)}, 1.0)
-        direct = stage_cost(seg, node, lm, w, goal_norm=50.0)
-        terms = ego_per_sample_cost(seg, lm, w, goal_norm=50.0)
-        cached = stage_cost(seg, node, lm, w, goal_norm=50.0, ego_terms=terms)
-        assert cached.value == pytest.approx(direct.value, abs=1e-12)
+        assert stage_cost(seg, node, None, w) == pytest.approx(2.0 * math.exp(-1.0), abs=1e-9)
 
     def test_lane_errors_batch_matches_scalar(self):
         l0 = Lane("L0", np.array([[0.0, 0.0], [50.0, 0.0], [100.0, 10.0]]), 10.0)
@@ -134,7 +155,7 @@ class TestStageCost:
         w = self._weights(w_comfort=1.0)
         psis = [3.0, math.pi, -math.pi, -3.0, 3.1, -3.1, 0.2, 0.2 - math.pi, 0.2]
         seg = Trajectory(0.0, 0.1, tuple(AgentState(0.1 * k, 0, 5.0 + 0.2 * k, p) for k, p in enumerate(psis)))
-        got = ego_per_sample_cost(seg, None, w)
+        got = _ego_terms(seg.arrays(), seg.dt, None, w, 1.0)
         psis = [s.psi for s in seg.samples]
         yaw = [wrap_angle(b - a) / 0.1 for a, b in zip(psis, psis[1:])]
         acc = [(b.v - a.v) / 0.1 for a, b in zip(seg.samples, seg.samples[1:])]
@@ -189,9 +210,40 @@ class TestCostTensor:
         for node in tree.nodes:
             for scen in ensemble.tree_for_ego_node(node.id).stage_nodes(node.stage):
                 want[(node.id, scen.path)] = stage_cost(
-                    node.segment, scen, lane_map, weights, ego_fp, fps, norm).value
+                    node.segment, scen, lane_map, weights, ego_fp, fps, norm)
         assert len(want) > len(tree.nodes)
         assert any(v > 0 for v in want.values())
+        _assert_close(got, want)
+
+    def test_ec_tensor_matches_scalar_running_cost(self):
+        """Independent of _stage_costs: every entry is the trapezoid, summed
+        sample by sample, of the scalar running_cost with finite-differenced
+        comfort inputs. Both sides evaluate each term in float64 to within a
+        few ulps and a stage sums 21 samples, so entries agree to about 1e-15
+        relative (4e-16 at most here); 1e-12 leaves a wide margin. bench/checks.py allows 1e-7
+        because it also reimplements the clearance and lane geometry."""
+        tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
+        ego_fp = Footprint(4.6, 1.9)
+        got = build_cost_tensor_ec(tree, ensemble, lane_map, weights, ego_fp, fps).values
+        norm = _goal_norm(tree, weights)
+        want = {}
+        for node in tree.nodes:
+            seg = node.segment
+            samples, dt = seg.samples, seg.dt
+            acc = [(b.v - a.v) / dt for a, b in zip(samples, samples[1:])]
+            yaw = [wrap_angle(b.psi - a.psi) / dt for a, b in zip(samples, samples[1:])]
+            acc, yaw = acc + acc[-1:], yaw + yaw[-1:]
+            for scen in ensemble.tree_for_ego_node(node.id).stage_nodes(node.stage):
+                # a one-sample root segment has no steps: no samples, cost 0
+                per_sample = [
+                    running_cost(ego, ego_fp,
+                                 {aid: (t.samples[k], fps[aid]) for aid, t in scen.agent_trajectories.items()},
+                                 lane_map, weights, a, y, norm)
+                    for k, (ego, a, y) in enumerate(zip(samples, acc, yaw))
+                ]
+                want[(node.id, scen.path)] = sum(dt * (a + b) / 2.0 for a, b in zip(per_sample, per_sample[1:]))
+        assert len(want) > len(tree.nodes)
+        assert sum(1 for key in want if key[1]) > len(tree.nodes)
         _assert_close(got, want)
 
     def test_plain_tensor_matches_per_entry_stage_cost(self):
@@ -201,7 +253,7 @@ class TestCostTensor:
         norm = _goal_norm(tree, weights)
         want = {
             (node.id, scen.path): stage_cost(node.segment, scen, lane_map, weights, DEFAULT_FOOTPRINT, fps,
-                                             norm).value
+                                             norm)
             for stage in range(tree.max_stage + 1)
             for node in tree.stage_nodes(stage)
             for scen in scenario.stage_nodes(stage)
@@ -223,7 +275,7 @@ class TestCostTensor:
         norm = _goal_norm(tree, weights)
         want = {
             (node.id, scen.path): stage_cost(node.segment, scen, lane_map, weights, DEFAULT_FOOTPRINT, fps,
-                                             norm).value
+                                             norm)
             for stage in (0, 1)
             for node in tree.stage_nodes(stage)
             for scen in scenario.stage_nodes(stage)

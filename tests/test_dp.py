@@ -15,7 +15,6 @@ from treeplan import (
     brute_force_value,
     build_cost_tensor,
     build_cost_tensor_ec,
-    execute_policy,
     grow_tree,
     plan_ncg,
     plan_ncr,
@@ -24,7 +23,7 @@ from treeplan import (
     predict_scenario_tree,
 )
 from treeplan.dp import count_policies, solve_policy, solve_policy_ec
-from treeplan.errors import StructureError, UnknownNode
+from treeplan.errors import StructureError
 from treeplan.verify import random_costs, random_dp_instance, random_scenario_tree, random_tree
 
 
@@ -55,23 +54,15 @@ class TestWorkedExamples:
         assert policy.pi[(1, (1,))] == 2  # pass after the yielding branch
 
     def test_contingency_policy_execution(self, cutin_instance):
-        """Observed branch A: the executed trajectory is the nudge segment
-        followed by the brake segment."""
+        """Observed branch A: the policy runs the nudge segment, then the
+        brake segment."""
         tree, make_scenario, costs = cutin_instance
         scenario = make_scenario(0.5, 0.5)
         _, policy = solve_policy(tree, scenario, costs)
-        traj = execute_policy(tree, policy, [(), (0,)])
-        brake_end = tree.node(3).segment.end
-        assert traj.end == brake_end
-        nudge_end = tree.node(1).segment.end
-        mid = traj.state_at(2.0)
-        assert (mid.x, mid.y) == pytest.approx((nudge_end.x, nudge_end.y))
-
-    def test_execute_policy_unknown_branch(self, cutin_instance):
-        tree, make_scenario, costs = cutin_instance
-        _, policy = solve_policy(tree, make_scenario(0.5, 0.5), costs)
-        with pytest.raises(UnknownNode):
-            execute_policy(tree, policy, [(), (7,)])
+        first = policy.pi[(0, ())]
+        second = policy.pi[(first, (0,))]
+        assert (first, second) == (1, 3)
+        assert tree.node(second).segment.start == tree.node(first).segment.end
 
 
 class TestOracle:
@@ -106,7 +97,7 @@ class TestOracle:
         rng = np.random.default_rng(9)
         tree, scenario, costs = random_dp_instance(rng)
         v1, p1 = solve_policy(tree, scenario, costs)
-        v2, p2 = solve_policy(tree, scenario, costs.scaled(3.5))
+        v2, p2 = solve_policy(tree, scenario, CostTensor({k: 3.5 * v for k, v in costs.values.items()}))
         assert p1.pi == p2.pi
         for key, v in v1.V.items():
             assert v2.V[key] == pytest.approx(3.5 * v, rel=1e-12)
@@ -128,7 +119,7 @@ class TestOracle:
         tree = random_tree(rng, 3, 2)
         short = random_scenario_tree(rng, 2, 2)
         pairs = [(n.id, s.path) for n in tree.nodes for s in short.stage_nodes(n.stage)]
-        costs = random_costs(rng, tree, pairs)
+        costs = random_costs(rng, pairs)
         with pytest.raises(StructureError):
             solve_policy(tree, short, costs)
 
