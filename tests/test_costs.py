@@ -220,8 +220,9 @@ class TestCostTensor:
         sample by sample, of the scalar running_cost with finite-differenced
         comfort inputs. Both sides evaluate each term in float64 to within a
         few ulps and a stage sums 21 samples, so entries agree to about 1e-15
-        relative (4e-16 at most here); 1e-12 leaves a wide margin. bench/checks.py allows 1e-7
-        because it also reimplements the clearance and lane geometry."""
+        relative (4e-16 at most on this plan); 1e-12 leaves a wide margin.
+        bench/checks.py allows 1e-7 because it also sums in another order and
+        reimplements the clearance and lane geometry."""
         tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
         ego_fp = Footprint(4.6, 1.9)
         got = build_cost_tensor_ec(tree, ensemble, lane_map, weights, ego_fp, fps).values
@@ -243,7 +244,7 @@ class TestCostTensor:
                 ]
                 want[(node.id, scen.path)] = sum(dt * (a + b) / 2.0 for a, b in zip(per_sample, per_sample[1:]))
         assert len(want) > len(tree.nodes)
-        assert sum(1 for key in want if key[1]) > len(tree.nodes)
+        assert any(v > 0 for v in want.values())
         _assert_close(got, want)
 
     def test_plain_tensor_matches_per_entry_stage_cost(self):
