@@ -1,0 +1,109 @@
+"""Digests of the planner's results, to show that two checkouts compute the same.
+
+    python3 scripts/result_digest.py --cutin-seeds 100
+
+Prints two sha256 digests, one per line:
+
+- ``open-loop``: the nine seed-101 scenes of each of the ``dense-plan`` and
+  ``deep-tree`` benchmark workloads, built by ``bench/workloads.py`` and
+  planned once each: ego tree, modes, scenario nodes, cost tensor, V, Q, pi
+  and the NCR and NCG plans;
+- ``cut-in``: the closed-loop cut-in traces (``scenarios/cutin.json`` with
+  ``configs/cutin_eval.json``) for episode seeds 0 .. N-1, each run with tpp,
+  ncr and ncg.
+
+Floats enter the digests as ``float.hex``, so a difference in the last bit
+changes the digest. The package and the workloads are imported from the
+checkout that holds this script; run it in each checkout and compare the
+output.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(1, str(REPO / "src"))
+sys.path.insert(1, str(REPO / "bench"))
+
+import treeplan.config  # noqa: E402
+import treeplan.sim  # noqa: E402
+import workloads  # noqa: E402
+
+OPEN_LOOP_SEED = 101
+OPEN_LOOP_WORKLOADS = ("dense-plan", "deep-tree")
+
+
+def _tokens(obj):
+    """Canonical text tokens of a result value."""
+    if obj is None or isinstance(obj, (bool, str)):
+        yield repr(obj)
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, float):
+        yield float.hex(obj)
+    elif isinstance(obj, (tuple, list)):
+        yield "("
+        for item in obj:
+            yield from _tokens(item)
+        yield ")"
+    elif isinstance(obj, dict):
+        yield "{"
+        for key in sorted(obj, key=lambda k: "".join(_tokens(k))):
+            yield from _tokens(key)
+            yield ":"
+            yield from _tokens(obj[key])
+        yield "}"
+    elif dataclasses.is_dataclass(obj):
+        yield type(obj).__name__
+        yield from _tokens({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+    else:
+        raise TypeError(f"no digest form for {type(obj).__name__}")
+
+
+def _feed(h, obj):
+    h.update(",".join(_tokens(obj)).encode())
+    h.update(b"\n")
+
+
+def open_loop_digest() -> str:
+    h = hashlib.sha256()
+    for name in OPEN_LOOP_WORKLOADS:
+        work = workloads.make(name, OPEN_LOOP_SEED, REPO)
+        for inp in work.inputs + [work.warm]:
+            tree, ensemble, costs, values, policy, ncr, ncg = workloads.plan(inp)
+            _feed(h, tree.nodes)
+            _feed(h, [(m.mode_id, m.ego_path) for m in ensemble.modes])
+            _feed(h, {mode_id: t.nodes for mode_id, t in ensemble.trees.items()})
+            _feed(h, costs.values)
+            _feed(h, (values.V, values.Q, policy.pi, ncr, ncg))
+    return h.hexdigest()
+
+
+def cutin_digest(n_seeds: int) -> str:
+    scenario = treeplan.config.load_scenario(REPO / "scenarios" / "cutin.json")
+    cfg = treeplan.config.load_planner_config(REPO / "configs" / "cutin_eval.json")
+    h = hashlib.sha256()
+    for seed in range(n_seeds):
+        sim_cfg = dataclasses.replace(cfg.sim, seed=seed)
+        for planner in workloads.PLANNERS:
+            trace = treeplan.sim.run_closed_loop(scenario, planner, sim_cfg, cfg)
+            _feed(h, (trace.metadata, trace.steps))
+    return h.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--cutin-seeds", type=int, default=100, help="episode seeds 0 .. N-1 (default 100)")
+    args = ap.parse_args(argv)
+    if args.cutin_seeds < 0:
+        ap.error("--cutin-seeds must be >= 0")
+    print(f"open-loop {open_loop_digest()}")
+    print(f"cut-in {cutin_digest(args.cutin_seeds)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

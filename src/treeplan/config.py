@@ -135,6 +135,10 @@ class PredictorConfig:
     tau_yield: float = 3.0
     yield_boost: float = 2.0
 
+    def __post_init__(self):
+        if self.branching_factor < 1:
+            raise ValueError("branching_factor must be >= 1")
+
 
 @dataclass(frozen=True)
 class OUParams:
@@ -162,8 +166,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sim_dt <= 0:
-            raise ValueError("sim_dt must be positive")
+        if self.sim_dt <= 0 or self.replan_period <= 0:
+            raise ValueError("sim_dt and replan_period must be positive")
+        if round(self.total_duration / self.sim_dt) < 1:
+            raise ValueError("total_duration must cover at least one sim_dt step")
         steps = self.replan_period / self.sim_dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("replan_period must be a multiple of sim_dt")

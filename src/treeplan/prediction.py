@@ -22,7 +22,6 @@ from .world import (
     LaneGraph,
     Trajectory,
     concat_trajectories,
-    project_to_lane,
     lane_points_at_batch,
 )
 
@@ -131,7 +130,7 @@ class ECMode:
 
     mode_id: int
     ego_path: tuple  # ego node ids, root first
-    ego_trajectory: Trajectory
+    ego_segments: tuple  # the path's node segments; ego_segments[i] is stage i's
 
 
 def flatten_ec_modes(tree: TrajectoryTree) -> list:
@@ -141,12 +140,11 @@ def flatten_ec_modes(tree: TrajectoryTree) -> list:
     def walk(node_id, ids):
         kids = tree.children(node_id)
         if not kids:
-            segs = [tree.node(i).segment for i in ids]
             modes.append(
                 ECMode(
                     mode_id=len(modes),
                     ego_path=tuple(ids),
-                    ego_trajectory=concat_trajectories(segs),
+                    ego_segments=tuple(tree.node(i).segment for i in ids),
                 )
             )
             return
@@ -155,15 +153,6 @@ def flatten_ec_modes(tree: TrajectoryTree) -> list:
 
     walk(tree.root_id, [tree.root_id])
     return modes
-
-
-def slice_stage(traj: Trajectory, schedule: StageSchedule, stage: int) -> Trajectory:
-    """The stage-i portion of a full-horizon trajectory."""
-    start = schedule.stage_start(stage)
-    dur = schedule.stage_durations[stage]
-    k0 = int(round((start - traj.t0) / traj.dt))
-    k1 = k0 + int(round(dur / traj.dt))
-    return Trajectory(t0=start, dt=traj.dt, samples=traj.samples[k0 : k1 + 1])
 
 
 def _rng_key(seed: int, stage: int, scen_path: tuple, ego_prefix: tuple) -> int:
@@ -203,7 +192,7 @@ def predict_scenario_tree(
     frontier = [root]
     n_stages = min(schedule.num_stages, len(mode.ego_path) - 1)
     for stage in range(1, n_stages + 1):
-        ego_seg = slice_stage(mode.ego_trajectory, schedule, stage)
+        ego_seg = mode.ego_segments[stage]
         ego_prefix = mode.ego_path[: stage + 1]
         new_frontier = []
         for node in frontier:
@@ -408,11 +397,11 @@ def _advance_agent(
 ) -> Trajectory:
     """Constant-acceleration advance along heading or the nearest centerline."""
     n = int(round(duration / dt))
-    lane = lane_map.nearest_lane(state.x, state.y) if lane_map else None
+    nearest = lane_map.nearest_lane(state.x, state.y) if lane_map else None
     vs = np.maximum(0.0, state.v + accel * dt * np.arange(n + 1))
     s = np.concatenate([[0.0], np.cumsum(0.5 * (vs[:-1] + vs[1:]) * dt)])
-    if lane is not None:
-        arc0, lat, _ = project_to_lane((state.x, state.y), lane.centerline)
+    if nearest is not None:
+        lane, arc0, lat = nearest
         px, py, heading = lane_points_at_batch(lane.centerline, arc0 + s)
         xs = px - lat * np.sin(heading)
         ys = py + lat * np.cos(heading)

@@ -1,7 +1,7 @@
 """Ego trajectory tree generation.
 
 Terminal states are sampled around the current state (constant accel/yaw-rate
-rollouts plus lane-centerline targets), connected by cubic Hermite splines,
+endpoints plus lane-centerline targets), connected by cubic Hermite splines,
 filtered for dynamic feasibility, and grown stage by stage into a tree with a
 per-node children cap.
 """
@@ -20,19 +20,19 @@ from .world import (
     LaneGraph,
     Trajectory,
     UnicycleInput,
+    integrate_unicycle,
     lane_point_at,
     project_to_lane,
-    rollout_unicycle,
     wrap_angle,
 )
 
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Stage durations for stages 0..N; stage 0 is the (degenerate) root stage.
+    """Stage durations for stages 0..N; stage 0 is the root stage.
 
-    The root stage carries the current state only, so stage_durations[0] may
-    be zero; all later durations are positive multiples of dt.
+    The root stage is the current state, so stage_durations[0] is zero; the
+    N >= 1 later durations are positive multiples of dt.
     """
 
     stage_durations: tuple
@@ -42,10 +42,10 @@ class StageSchedule:
         durs = tuple(float(d) for d in self.stage_durations)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if len(durs) < 1:
-            raise ValueError("need at least the root stage")
-        if durs[0] < 0:
-            raise ValueError("root stage duration must be >= 0")
+        if len(durs) < 2:
+            raise ValueError("need the root stage and at least one stage after it")
+        if durs[0] != 0.0:
+            raise ValueError("the root stage duration must be 0")
         for d in durs[1:]:
             if d <= 0:
                 raise ValueError("stage durations must be positive")
@@ -206,7 +206,9 @@ def sample_terminals(
     """Candidate terminal states reachable within one stage.
 
     Union of constant accel/yaw-rate rollout endpoints and lane-centerline
-    targets, deduplicated within (0.1 m, 0.05 rad, 0.1 m/s).
+    targets, deduplicated within (0.1 m, 0.05 rad, 0.1 m/s). Each rollout
+    endpoint is one integrate_unicycle call over the whole stage, which steps
+    at most 0.1 s at a time whatever dt is.
     """
     limits = config.limits
     candidates = []
@@ -216,8 +218,7 @@ def sample_terminals(
         for omega in config.yaw_rate_grid:
             if abs(omega) > limits.omega_max:
                 continue
-            traj = rollout_unicycle(current, UnicycleInput(a, omega), stage_duration, dt, limits)
-            candidates.append(traj.end)
+            candidates.append(integrate_unicycle(current, UnicycleInput(a, omega), stage_duration, limits))
 
     if lane_map is not None:
         for lane in lane_map.lanes:
@@ -343,18 +344,13 @@ def grow_tree(
 ) -> TrajectoryTree:
     """Stage-by-stage tree growth with feasibility filtering and children caps.
 
-    The root carries the current state (plus a constant-velocity hold when the
-    root stage has positive duration). When feasible children exceed
+    The root carries the current state. When feasible children exceed
     max_children, a seeded per-node draw keeps exactly max_children. A stage
     with zero feasible children for every leaf truncates the tree and sets the
     `truncated` flag.
     """
     dt = schedule.dt
-    root_dur = schedule.stage_durations[0]
-    if root_dur > 0:
-        root_seg = rollout_unicycle(root_state, UnicycleInput(0.0, 0.0), root_dur, dt, config.limits)
-    else:
-        root_seg = Trajectory(t0=0.0, dt=dt, samples=(root_state,))
+    root_seg = Trajectory(t0=0.0, dt=dt, samples=(root_state,))
     nodes = [TreeNode(id=0, stage=0, parent_id=None, segment=root_seg)]
     frontier = [nodes[0]]
     next_id = 1

@@ -67,10 +67,12 @@ def agent_policy_step(
     ou_state perturbs the target speed.
     """
     if lane is None:
-        lane = lane_map.nearest_lane(agent.x, agent.y)
-    if lane is None:
-        return UnicycleInput(0.0, 0.0)
-    arc, _, _ = project_to_lane((agent.x, agent.y), lane.centerline)
+        nearest = lane_map.nearest_lane(agent.x, agent.y)
+        if nearest is None:
+            return UnicycleInput(0.0, 0.0)
+        lane, arc, _ = nearest
+    else:
+        arc, _, _ = project_to_lane((agent.x, agent.y), lane.centerline)
     lookahead = max(3.0, 0.8 * agent.v)
     lx, ly, _ = lane_point_at(lane.centerline, arc + lookahead)
     alpha = wrap_angle(math.atan2(ly - agent.y, lx - agent.x) - agent.psi)
@@ -146,7 +148,7 @@ class SimTrace:
     metadata: dict = field(default_factory=dict)
 
 
-def _leader_info(state: AgentState, others: dict, lane_map, headway: float):
+def _leader_info(state: AgentState, others: dict, headway: float):
     """(gap, speed) of the nearest vehicle ahead in the same lane corridor."""
     best = None
     c, s = math.cos(state.psi), math.sin(state.psi)
@@ -326,7 +328,7 @@ def run_closed_loop(
             state = agents[aid]
             others = {k: v for k, v in agents.items() if k != aid}
             others["__ego__"] = ego
-            leader = _leader_info(state, others, lane_map, headway=10.0)
+            leader = _leader_info(state, others, headway=10.0)
             u = controllers[aid].step(state, lane_map, cfg.ou, t, cfg.sim_dt, leader, a_min)
             u = pc.sampler.limits.clamp(u)
             new_states[aid] = integrate_unicycle(state, u, cfg.sim_dt, pc.sampler.limits)

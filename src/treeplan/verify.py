@@ -7,7 +7,7 @@ generators are seeded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -145,13 +145,7 @@ def random_ec_instance(rng: np.random.Generator, policy_cap: int = 3000):
         branching = int(rng.integers(1, 3))
         seed = int(rng.integers(0, 2**31))
         schedule = StageSchedule.uniform(num_stages, stage_duration=1.0)
-        sampler = SamplerConfig(
-            accel_grid=_VERIFY_SAMPLER.accel_grid,
-            yaw_rate_grid=_VERIFY_SAMPLER.yaw_rate_grid,
-            speed_grid=(),
-            lateral_offsets=(),
-            max_children=max_children,
-        )
+        sampler = replace(_VERIFY_SAMPLER, max_children=max_children)
         root = AgentState(0.0, 0.0, float(rng.uniform(2.0, 10.0)), 0.0)
         tree = grow_tree(root, None, schedule, sampler, seed)
         if tree.max_stage < num_stages:
@@ -194,13 +188,7 @@ def run_consistency_suite(n_instances: int = 200, seed: int = 2):
         branching = int(rng.integers(1, 4))
         inst_seed = int(rng.integers(0, 2**31))
         schedule = StageSchedule.uniform(num_stages, stage_duration=1.0)
-        sampler = SamplerConfig(
-            accel_grid=(-2.0, 0.0, 2.0),
-            yaw_rate_grid=(-0.1, 0.0, 0.1),
-            speed_grid=(),
-            lateral_offsets=(),
-            max_children=max_children,
-        )
+        sampler = replace(_VERIFY_SAMPLER, max_children=max_children)
         root = AgentState(0.0, 0.0, float(rng.uniform(2.0, 10.0)), 0.0)
         tree = grow_tree(root, None, schedule, sampler, inst_seed)
         scene = random_scene(rng, int(rng.integers(1, 3)))
@@ -223,7 +211,7 @@ class FuturePeekingPredictor(KinematicPredictor):
     conditions_on_full_mode: bool = True
 
     def set_mode(self, mode: ECMode):
-        self._mode_end = mode.ego_trajectory.end
+        self._mode_end = mode.ego_segments[-1].end
 
     def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
         hypotheses = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)

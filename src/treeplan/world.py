@@ -182,12 +182,14 @@ class LaneGraph:
                 return lane
         raise KeyError(lane_id)
 
-    def nearest_lane(self, x: float, y: float) -> Lane | None:
+    def nearest_lane(self, x: float, y: float) -> tuple | None:
+        """(lane, arc, lateral) of the lane with the least |lateral| offset
+        at (x, y), from project_to_lane; None when there are no lanes."""
         best, best_d = None, math.inf
         for lane in self.lanes:
-            _, lat, _ = project_to_lane((x, y), lane.centerline)
+            arc, lat, _ = project_to_lane((x, y), lane.centerline)
             if abs(lat) < best_d:
-                best, best_d = lane, abs(lat)
+                best, best_d = (lane, arc, lat), abs(lat)
         return best
 
 
@@ -227,24 +229,6 @@ def integrate_unicycle(
         psi = psi + (h / 6.0) * (omega + 2 * omega + 2 * omega + omega)
         v = min(max(v, 0.0), limits.v_max)
     return AgentState(x, y, v, wrap_angle(psi))
-
-
-def rollout_unicycle(
-    state: AgentState,
-    u: UnicycleInput,
-    duration: float,
-    dt: float,
-    limits: DynamicsLimits = DynamicsLimits(),
-    t0: float = 0.0,
-) -> Trajectory:
-    """Constant-input unicycle rollout sampled every dt (endpoints included)."""
-    n = int(round(duration / dt))
-    samples = [state]
-    cur = state
-    for _ in range(n):
-        cur = integrate_unicycle(cur, u, dt, limits)
-        samples.append(cur)
-    return Trajectory(t0=t0, dt=dt, samples=tuple(samples))
 
 
 # ---------------------------------------------------------------------------

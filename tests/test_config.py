@@ -103,6 +103,25 @@ def test_planner_config_rejects_unknown_predictor_kind(kind):
         parse_planner_config(_edit(CONFIG, ("predictor",), "kind", kind))
 
 
+VALUE_REJECTIONS = {
+    "replan_period_zero": (("sim",), "replan_period", 0.0),
+    "replan_period_negative": (("sim",), "replan_period", -2.0),
+    "total_duration_zero": (("sim",), "total_duration", 0.0),
+    "total_duration_negative": (("sim",), "total_duration", -4.0),
+    "total_duration_under_one_step": (("sim",), "total_duration", 0.04),
+    "num_stages_zero": (("schedule",), "num_stages", 0),
+    "num_stages_negative": (("schedule",), "num_stages", -1),
+    "branching_factor_zero": (("predictor",), "branching_factor", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_REJECTIONS))
+def test_planner_config_rejects_value_the_planner_cannot_run(case):
+    path, key, value = VALUE_REJECTIONS[case]
+    with pytest.raises(ScenarioError):
+        parse_planner_config(_edit(CONFIG, path, key, value))
+
+
 SCENARIO_REJECTIONS = {
     "top_level": ((), "author", "x"),
     "map": (("map",), "crs", "utm"),
@@ -130,10 +149,18 @@ def test_non_object_section_rejected():
         parse_scenario(_edit(SCENARIO, (), "ego", [0.0, 0.0]))
 
 
-def test_cli_rejects_unknown_key(tmp_path):
+def _assert_cli_rejects(tmp_path, config):
     scen, cfg = tmp_path / "s.json", tmp_path / "c.json"
     scen.write_text(json.dumps(SCENARIO))
-    cfg.write_text(json.dumps(_edit(CONFIG, ("cost",), "w_speed", 1.0)))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "never.jsonl"
     assert main(["run", "--scenario", str(scen), "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
+
+
+def test_cli_rejects_unknown_key(tmp_path):
+    _assert_cli_rejects(tmp_path, _edit(CONFIG, ("cost",), "w_speed", 1.0))
+
+
+def test_cli_rejects_zero_replan_period(tmp_path):
+    _assert_cli_rejects(tmp_path, _edit(CONFIG, ("sim",), "replan_period", 0.0))

@@ -28,6 +28,7 @@ from treeplan.prediction import (
     _advance_agent,
 )
 from treeplan.sampler import TreeNode, TrajectoryTree
+from treeplan.world import concat_trajectories
 from treeplan.verify import (
     FuturePeekingPredictor,
     make_shared_prefix_tree,
@@ -73,6 +74,32 @@ class TestFlattenModes:
             assert path[0] == 0 and len(path) == 4
             for a, b in zip(path, path[1:]):
                 assert tree.node(b).parent_id == a
+
+
+def _slice_stage(traj, schedule, stage):
+    """Reference: the stage-i portion of a full-horizon trajectory."""
+    start = schedule.stage_start(stage)
+    k0 = int(round((start - traj.t0) / traj.dt))
+    k1 = k0 + int(round(schedule.stage_durations[stage] / traj.dt))
+    return Trajectory(t0=start, dt=traj.dt, samples=traj.samples[k0 : k1 + 1])
+
+
+class TestModeSegments:
+    def test_modes_carry_the_tree_segments(self):
+        """Each mode holds its path's own segments, and stage i of their join
+        is segment i, so the predictor sees what the joined path gave it."""
+        schedule = StageSchedule.uniform(2)
+        tree = grow_tree(AgentState(0, 0, 10, 0), None, schedule, SamplerConfig(max_children=2), seed=5)
+        modes = flatten_ec_modes(tree)
+        assert len(modes) == len(tree.leaves()) > 1
+        for mode in modes:
+            assert len(mode.ego_segments) == len(mode.ego_path)
+            for node_id, seg in zip(mode.ego_path, mode.ego_segments):
+                assert seg is tree.node(node_id).segment
+            joined = concat_trajectories(mode.ego_segments)
+            assert joined.t0 == 0.0 and joined.t_end == pytest.approx(schedule.horizon)
+            for stage in range(1, schedule.num_stages + 1):
+                assert mode.ego_segments[stage] == _slice_stage(joined, schedule, stage)
 
 
 class TestKinematicPredictor:

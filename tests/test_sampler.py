@@ -13,13 +13,16 @@ from treeplan import (
     LaneGraph,
     SamplerConfig,
     StageSchedule,
+    UnicycleInput,
     fit_spline,
     grow_tree,
+    integrate_unicycle,
     project_to_lane,
 )
 from treeplan.errors import DegenerateDuration
 from treeplan.sampler import TreeNode, TrajectoryTree, sample_terminals, segment_feasible, spline_to_trajectory
 from treeplan.verify import spline_residual
+from treeplan.world import wrap_angle
 
 
 class TestStageSchedule:
@@ -37,6 +40,16 @@ class TestStageSchedule:
     def test_rejects_non_multiple_of_dt(self):
         with pytest.raises(ValueError):
             StageSchedule((0.0, 1.05), 0.1)
+
+    @pytest.mark.parametrize("root", [1.0, 0.1])
+    def test_rejects_nonzero_root_duration(self, root):
+        """The root stage is the current state; predictions start at t = 0."""
+        with pytest.raises(ValueError, match="root"):
+            StageSchedule((root, 2.0, 2.0), 0.1)
+
+    def test_rejects_root_stage_alone(self):
+        with pytest.raises(ValueError):
+            StageSchedule((0.0,), 0.1)
 
 
 class TestSpline:
@@ -100,6 +113,40 @@ class TestSampleTerminals:
         for t in lane_targets:
             _, lat, _ = project_to_lane((t.x, t.y), lane.centerline)
             assert abs(lat) <= band + 1e-6
+
+
+def _rollout_end(state, u, duration, dt, limits):
+    """Reference: the end of a constant-input rollout stepped once per dt."""
+    for _ in range(int(round(duration / dt))):
+        state = integrate_unicycle(state, u, dt, limits)
+    return state
+
+
+class TestRolloutEndpoints:
+    @given(
+        x=st.floats(-50, 50), y=st.floats(-50, 50),
+        v=st.floats(0, 20), psi=st.floats(-math.pi, math.pi),
+        a=st.floats(-6.0, 4.0), omega=st.floats(-1.0, 1.0),
+        k=st.integers(1, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_endpoint_matches_the_per_step_rollout(self, x, y, v, psi, a, omega, k):
+        """Bit-equal while the heading stays in (-pi, pi] and the stage
+        divides into dt substeps exactly; the reference wraps the heading at
+        every step, so a crossing differs in the last bits only."""
+        limits, dt, duration = DynamicsLimits(), 0.1, k / 10
+        cfg = SamplerConfig(
+            accel_grid=(a,), yaw_rate_grid=(omega,), speed_grid=(), lateral_offsets=(), limits=limits
+        )
+        start = AgentState(x, y, v, psi)
+        (got,) = sample_terminals(start, None, duration, cfg, dt)
+        want = _rollout_end(start, UnicycleInput(a, omega), duration, dt, limits)
+        if duration / k == dt and abs(start.psi + omega * duration) < math.pi - 1e-9:
+            assert got == want
+        else:
+            assert abs(got.x - want.x) <= 1e-12 and abs(got.y - want.y) <= 1e-12
+            assert abs(got.v - want.v) <= 1e-12
+            assert abs(wrap_angle(got.psi - want.psi)) <= 1e-12
 
 
 class TestGrowTree:

@@ -225,6 +225,18 @@ class TestLaneProjection:
             assert (x, y, h) == (pytest.approx(float(xs[k])), pytest.approx(float(ys[k])), pytest.approx(float(hs[k])))
 
 
+class TestNearestLane:
+    def test_returns_the_projection_onto_the_nearest_lane(self):
+        l0 = Lane("L0", np.array([[0.0, 0.0], [100.0, 0.0]]), 12.0)
+        l1 = Lane("L1", np.array([[0.0, 3.5], [100.0, 3.5]]), 12.0)
+        lane, arc, lat = LaneGraph((l0, l1)).nearest_lane(20.0, 2.5)
+        assert lane is l1
+        assert (arc, lat) == project_to_lane((20.0, 2.5), l1.centerline)[:2]
+
+    def test_none_without_lanes(self):
+        assert LaneGraph().nearest_lane(0.0, 0.0) is None
+
+
 class TestTrajectory:
     def test_state_at_interpolates(self):
         samples = (AgentState(0, 0, 2, 0), AgentState(2, 0, 2, 0))
