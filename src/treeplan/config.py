@@ -170,9 +170,10 @@ class SimConfig:
             raise ValueError("sim_dt and replan_period must be positive")
         if round(self.total_duration / self.sim_dt) < 1:
             raise ValueError("total_duration must cover at least one sim_dt step")
-        steps = self.replan_period / self.sim_dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("replan_period must be a multiple of sim_dt")
+        for name in ("total_duration", "replan_period"):
+            steps = getattr(self, name) / self.sim_dt
+            if abs(steps - round(steps)) > 1e-9:
+                raise ValueError(f"{name} must be a multiple of sim_dt")
         if self.spawn.radius_min >= self.spawn.radius_max:
             raise ValueError("spawn radius band must be increasing")
 

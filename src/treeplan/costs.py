@@ -4,8 +4,13 @@ The running cost has four terms: collision proximity (exponential in
 clearance, 1 at contact), lane keeping (lateral offset and heading error),
 goal progress (remaining distance, normalized), and ride comfort (squared
 accel and yaw rate from finite differences). A stage cost integrates it with
-the trapezoid rule over the aligned ego/environment samples; each ego node is
-evaluated against all same-stage scenario nodes in one batch.
+the trapezoid rule over the aligned ego/environment samples.
+
+The tensor is built one stage at a time: the ego terms of all the stage's ego
+nodes in one pass, and one clearance call per agent over every (ego node,
+distinct agent trajectory) pair. Scenario nodes share trajectory objects, so
+a trajectory is indexed once per stage by identity, however many nodes and
+modes hold it.
 """
 
 from __future__ import annotations
@@ -50,8 +55,11 @@ class CostWeights:
 
 
 def _lane_errors_batch(xs, ys, psis, lane_map: LaneGraph):
-    """Per-sample (lateral offset, heading error) against the nearest lane."""
-    pts = np.column_stack([xs, ys])
+    """Per-sample (lateral offset, heading error) against the nearest lane,
+    for sample arrays of any one shape."""
+    shape = np.shape(xs)
+    pts = np.column_stack([np.ravel(xs), np.ravel(ys)])
+    psis = np.ravel(psis)
     best_lat = np.full(len(pts), np.inf)
     best_herr = np.zeros(len(pts))
     for lane in lane_map.lanes:
@@ -60,13 +68,16 @@ def _lane_errors_batch(xs, ys, psis, lane_map: LaneGraph):
         best_lat = np.where(better, lat, best_lat)
         herr = np.arctan2(np.sin(psis - heading), np.cos(psis - heading))
         best_herr = np.where(better, herr, best_herr)
-    return best_lat, best_herr
+    return best_lat.reshape(shape), best_herr.reshape(shape)
 
 
 def _ego_terms(arrays, dt, lane_map, weights, goal_norm):
-    """Per-sample lane, goal and comfort terms, which depend on the ego alone."""
+    """Per-sample lane, goal and comfort terms, which depend on the ego alone.
+
+    arrays are (x, y, v, psi), each (..., n) over the samples of a segment.
+    """
     xs, ys, vs, psis = arrays
-    per_sample = np.zeros(len(xs))
+    per_sample = np.zeros(np.shape(xs))
     if weights.w_lane > 0 and lane_map is not None and lane_map.lanes:
         lat, herr = _lane_errors_batch(xs, ys, psis, lane_map)
         per_sample += weights.w_lane * (lat**2 + herr**2)
@@ -76,67 +87,88 @@ def _ego_terms(arrays, dt, lane_map, weights, goal_norm):
         per_sample += weights.w_goal * gd / max(goal_norm, 1e-9)
 
     if weights.w_comfort > 0:
-        acc = np.diff(vs) / dt
-        yaw = wrap_angles(np.diff(psis)) / dt
-        acc = np.append(acc, acc[-1])
-        yaw = np.append(yaw, yaw[-1])
+        acc = np.diff(vs, axis=-1) / dt
+        yaw = wrap_angles(np.diff(psis, axis=-1)) / dt
+        acc = np.append(acc, acc[..., -1:], axis=-1)
+        yaw = np.append(yaw, yaw[..., -1:], axis=-1)
         per_sample += weights.w_comfort * (acc**2 + yaw**2)
     return per_sample
 
 
-class _ArrayCache:
-    """Trajectory.arrays() built once per trajectory object within one build."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, traj: Trajectory):
-        hit = self._arrays.get(id(traj))
-        if hit is None:
-            # keep traj alive so its id is not reused while the cache lives
-            hit = self._arrays[id(traj)] = (traj, traj.arrays())
-        return hit[1]
+def _support(traj: Trajectory) -> str:
+    return f"{len(traj.samples)} samples at dt {traj.dt}"
 
 
-def _stage_costs(
-    ego_segment: Trajectory,
-    env_nodes,
+def _costs_of_stage(
+    stage: int,
+    ego_nodes: list,
+    reads: list,
     lane_map: LaneGraph | None,
     weights: CostWeights,
     ego_fp: Footprint,
     agent_fps: dict,
     goal_norm: float,
-    arrays: _ArrayCache,
 ) -> np.ndarray:
-    """Stage costs of one ego segment against S same-stage scenario nodes.
+    """Stage costs of the E ego nodes of one stage, each against the scenario
+    nodes it reads (reads[e]); one row per pair, ego-major, shape (R,).
 
-    Each agent's samples are stacked over the nodes that carry it into (S, n)
-    arrays, so one clearance call covers the agent in every node; terms add up
-    per node in the node's own agent order. Returns shape (S,).
+    The ego terms come from one (E, n) pass. Each agent's distinct trajectory
+    objects over all rows form K columns, and one clearance call per agent
+    covers every (ego node, column) pair; a row then adds its agents' terms to
+    its ego terms in the node's own agent order.
     """
-    n = len(ego_segment.samples)
-    dt = ego_segment.dt
-    for node in env_nodes:
-        for aid, traj in node.agent_trajectories.items():
-            if len(traj.samples) != n or abs(traj.dt - dt) > 1e-12:
-                raise ScheduleMismatch(f"agent {aid} support differs from ego segment")
-    if n < 2:
-        return np.zeros(len(env_nodes))
+    seg0 = ego_nodes[0].segment
+    n, dt = len(seg0.samples), seg0.dt
+    for ego in ego_nodes:
+        if len(ego.segment.samples) != n or abs(ego.segment.dt - dt) > 1e-12:
+            raise ScheduleMismatch(
+                f"stage {stage}: ego node {ego.id} has {_support(ego.segment)}, "
+                f"ego node {ego_nodes[0].id} has {_support(seg0)}"
+            )
 
-    xs, ys, vs, psis = arrays(ego_segment)
-    per_sample = np.tile(_ego_terms((xs, ys, vs, psis), dt, lane_map, weights, goal_norm), (len(env_nodes), 1))
+    # aid -> {id(trajectory): (column, trajectory)}; the trajectory is held so
+    # its id cannot be reused while the index lives
+    columns: dict = {}
+    row_ego = []  # ego index of each row
+    groups: dict = {}  # agent order -> [(row, column of each agent)]
+    for e, (ego, nodes) in enumerate(zip(ego_nodes, reads)):
+        for node in nodes:
+            cols = []
+            for aid, traj in node.agent_trajectories.items():
+                index = columns.setdefault(aid, {})
+                hit = index.get(id(traj))
+                if hit is None:
+                    if len(traj.samples) != n or abs(traj.dt - dt) > 1e-12:
+                        raise ScheduleMismatch(
+                            f"stage {stage}, ego node {ego.id}, scenario node {node.path}: agent {aid} "
+                            f"has {_support(traj)}, the ego segment {_support(ego.segment)}"
+                        )
+                    hit = index[id(traj)] = (len(index), traj)
+                cols.append(hit[0])
+            groups.setdefault(tuple(node.agent_trajectories), []).append((len(row_ego), cols))
+            row_ego.append(e)
+    if n < 2 or not row_ego:
+        return np.zeros(len(row_ego))
+
+    # (E, n, 4) -> x, y, v, psi, each (E, n)
+    block = np.array([[(s.x, s.y, s.v, s.psi) for s in ego.segment.samples] for ego in ego_nodes])
+    xs, ys, vs, psis = block[..., 0], block[..., 1], block[..., 2], block[..., 3]
+    row_ego = np.array(row_ego)
+    per_sample = _ego_terms((xs, ys, vs, psis), dt, lane_map, weights, goal_norm)[row_ego]
 
     if weights.w_collision > 0:
-        groups: dict = {}  # agent order -> rows of the nodes that share it
-        for row, node in enumerate(env_nodes):
-            groups.setdefault(tuple(node.agent_trajectories), []).append(row)
-        for aids, rows in groups.items():
-            for aid in aids:
-                # (S, 4, n): x, y, v, psi of the agent in each node
-                a = np.array([arrays(env_nodes[r].agent_trajectories[aid]) for r in rows])
-                fp = agent_fps.get(aid, DEFAULT_FOOTPRINT)
-                d = obb_clearance(xs, ys, psis, ego_fp, a[:, 0], a[:, 1], a[:, 3], fp)
-                per_sample[rows] += weights.w_collision * np.exp(-d / weights.collision_scale)
+        collision = {}  # aid -> (E, K, n) term of each ego node against each column
+        for aid, index in columns.items():
+            # (K, 4, n): x, y, v, psi of each distinct trajectory
+            a = np.array([traj.arrays() for _, traj in index.values()])
+            fp = agent_fps.get(aid, DEFAULT_FOOTPRINT)
+            d = obb_clearance(xs[:, None], ys[:, None], psis[:, None], ego_fp,
+                              a[None, :, 0], a[None, :, 1], a[None, :, 3], fp)
+            collision[aid] = weights.w_collision * np.exp(-d / weights.collision_scale)
+        for aids, members in groups.items():
+            rows = [row for row, _ in members]
+            for i, aid in enumerate(aids):
+                per_sample[rows] += collision[aid][row_ego[rows], [cols[i] for _, cols in members]]
 
     return np.trapezoid(per_sample, dx=dt, axis=-1)
 
@@ -173,18 +205,19 @@ def build_cost_tensor(
 
     scenario.tree_for_ego_node resolves the tree: one shared ScenarioTree, or
     for an ensemble the tree of the first mode through the node; causal
-    consistency makes that choice immaterial. Each ego node is evaluated
-    against all scenario nodes of its stage at once.
+    consistency makes that choice immaterial. All ego nodes of a stage are
+    evaluated in one batch.
     """
     norm = _goal_norm(tree, weights)
-    arrays = _ArrayCache()
     values = {}
-    for ego_node in tree.nodes:
-        scen_nodes = scenario.tree_for_ego_node(ego_node.id).stage_nodes(ego_node.stage)
-        costs = _stage_costs(
-            ego_node.segment, scen_nodes, lane_map, weights, ego_fp, agent_fps or {}, norm, arrays
-        )
-        values.update(zip(((ego_node.id, scen.path) for scen in scen_nodes), costs.tolist()))
+    for stage in range(tree.max_stage + 1):
+        ego_nodes = tree.stage_nodes(stage)
+        if not ego_nodes:
+            continue
+        reads = [scenario.tree_for_ego_node(ego.id).stage_nodes(stage) for ego in ego_nodes]
+        costs = _costs_of_stage(stage, ego_nodes, reads, lane_map, weights, ego_fp, agent_fps or {}, norm)
+        keys = ((ego.id, scen.path) for ego, nodes in zip(ego_nodes, reads) for scen in nodes)
+        values.update(zip(keys, costs.tolist()))
     return CostTensor(values)
 
 

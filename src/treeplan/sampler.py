@@ -201,14 +201,13 @@ def sample_terminals(
     lane_map: LaneGraph | None,
     stage_duration: float,
     config: SamplerConfig,
-    dt: float = 0.1,
 ) -> list:
     """Candidate terminal states reachable within one stage.
 
     Union of constant accel/yaw-rate rollout endpoints and lane-centerline
     targets, deduplicated within (0.1 m, 0.05 rad, 0.1 m/s). Each rollout
     endpoint is one integrate_unicycle call over the whole stage, which steps
-    at most 0.1 s at a time whatever dt is.
+    at most 0.1 s at a time.
     """
     limits = config.limits
     candidates = []
@@ -364,7 +363,7 @@ def grow_tree(
         for parent in frontier:
             start = parent.segment.end
             survivors = []
-            for term in sample_terminals(start, lane_map, duration, config, dt):
+            for term in sample_terminals(start, lane_map, duration, config):
                 spline = fit_spline(start, term, duration, dt)
                 if not segment_feasible(spline, config.limits, dt):
                     continue

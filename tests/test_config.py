@@ -109,6 +109,8 @@ VALUE_REJECTIONS = {
     "total_duration_zero": (("sim",), "total_duration", 0.0),
     "total_duration_negative": (("sim",), "total_duration", -4.0),
     "total_duration_under_one_step": (("sim",), "total_duration", 0.04),
+    "total_duration_off_grid_up": (("sim",), "total_duration", 2.26),
+    "total_duration_off_grid_down": (("sim",), "total_duration", 2.05),
     "num_stages_zero": (("schedule",), "num_stages", 0),
     "num_stages_negative": (("schedule",), "num_stages", -1),
     "branching_factor_zero": (("predictor",), "branching_factor", 0),
@@ -164,3 +166,7 @@ def test_cli_rejects_unknown_key(tmp_path):
 
 def test_cli_rejects_zero_replan_period(tmp_path):
     _assert_cli_rejects(tmp_path, _edit(CONFIG, ("sim",), "replan_period", 0.0))
+
+
+def test_cli_rejects_off_grid_total_duration(tmp_path):
+    _assert_cli_rejects(tmp_path, _edit(CONFIG, ("sim",), "total_duration", 2.26))

@@ -14,24 +14,24 @@ from treeplan import (
     StageSchedule,
     Trajectory,
 )
+import treeplan.costs
 from treeplan.costs import (
     DEFAULT_FOOTPRINT,
-    _ArrayCache,
     _ego_terms,
     _lane_errors_batch,
-    _stage_costs,
     build_cost_tensor,
     build_cost_tensor_ec,
 )
 from treeplan.errors import ScheduleMismatch
 from treeplan.prediction import (
+    ECPredictionEnsemble,
     KinematicPredictor,
     Scene,
     ScenarioNode,
     ScenarioTree,
     predict_ensemble,
 )
-from treeplan.sampler import SamplerConfig, grow_tree
+from treeplan.sampler import SamplerConfig, TrajectoryTree, TreeNode, grow_tree
 from treeplan.world import obb_clearance, project_to_lane, wrap_angle
 
 
@@ -63,10 +63,18 @@ def _lane_errors(x, y, psi, lane_map):
     return best
 
 
-def stage_cost(seg, node, lane_map, weights, ego_fp=DEFAULT_FOOTPRINT, agent_fps=None, goal_norm=1.0):
-    """Stage cost of one (ego segment, scenario node) pair: _stage_costs with S = 1."""
-    costs = _stage_costs(seg, [node], lane_map, weights, ego_fp, agent_fps or {}, goal_norm, _ArrayCache())
-    return float(costs[0])
+def stage_cost(seg, node, lane_map, weights, ego_fp=DEFAULT_FOOTPRINT, agent_fps=None, root=None):
+    """Stage cost of one (ego segment, scenario node) pair: build_cost_tensor
+    on a chain of ego nodes whose one node at the scenario node's stage holds
+    seg. The chain's root, which sets the goal normalisation, stands at `root`
+    (default seg.start); a stage-0 pair makes seg the root itself."""
+    hold = Trajectory(seg.t0, seg.dt, (seg.start if root is None else root,))
+    chain = tuple(TreeNode(k, k, k - 1 if k else None, seg if k == node.stage else hold)
+                  for k in range(node.stage + 1))
+    schedule = StageSchedule.uniform(max(node.stage, 1))
+    scenario = ScenarioTree(nodes={node.path: node}, schedule=schedule)
+    tensor = build_cost_tensor(TrajectoryTree(chain, schedule), scenario, lane_map, weights, ego_fp, agent_fps)
+    return tensor.get(node.stage, node.path)
 
 
 def _const_traj(state, n, dt=0.1, t0=0.0):
@@ -115,7 +123,9 @@ class TestStageCost:
         samples = tuple(AgentState(-2.0 + 0.1 * k, 0.0, 1.0, 0.0) for k in range(n))
         seg = Trajectory(0.0, 0.1, samples)
         node = ScenarioNode((), 1, {}, 1.0)
-        assert stage_cost(seg, node, None, w, goal_norm=1.0) == pytest.approx(2.0, abs=1e-12)
+        # a root at the goal normalises the goal term by max(1, 0) = 1
+        root = AgentState(0.0, 0.0, 1.0, 0.0)
+        assert stage_cost(seg, node, None, w, root=root) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_duration_segment_costs_nothing(self):
         w = self._weights(w_goal=1.0)
@@ -189,8 +199,12 @@ def _multi_agent_plan():
     return tree, ensemble, lane_map, weights, fps
 
 
+def _root(tree):
+    return tree.node(tree.root_id).segment.start
+
+
 def _goal_norm(tree, weights):
-    root = tree.node(tree.root_id).segment.start
+    root = _root(tree)
     return max(1.0, math.hypot(root.x - weights.goal[0], root.y - weights.goal[1]))
 
 
@@ -200,61 +214,142 @@ def _assert_close(got: dict, want: dict):
         assert abs(got[key] - value) <= 1e-12 * max(1.0, abs(value)), key
 
 
+def _scalar_tensor(tree, scenario, lane_map, weights, ego_fp, fps):
+    """Every entry as the trapezoid, summed sample by sample, of the scalar
+    running_cost with finite-differenced comfort inputs."""
+    norm = _goal_norm(tree, weights)
+    want = {}
+    for node in tree.nodes:
+        seg = node.segment
+        samples, dt = seg.samples, seg.dt
+        acc = [(b.v - a.v) / dt for a, b in zip(samples, samples[1:])]
+        yaw = [wrap_angle(b.psi - a.psi) / dt for a, b in zip(samples, samples[1:])]
+        acc, yaw = acc + acc[-1:], yaw + yaw[-1:]
+        for scen in scenario.tree_for_ego_node(node.id).stage_nodes(node.stage):
+            # a one-sample root segment has no steps: no samples, cost 0
+            per_sample = [
+                running_cost(ego, ego_fp,
+                             {aid: (t.samples[k], fps[aid]) for aid, t in scen.agent_trajectories.items()},
+                             lane_map, weights, a, y, norm)
+                for k, (ego, a, y) in enumerate(zip(samples, acc, yaw))
+            ]
+            want[(node.id, scen.path)] = sum(dt * (a + b) / 2.0 for a, b in zip(per_sample, per_sample[1:]))
+    return want
+
+
+def _copy(traj):
+    return Trajectory(traj.t0, traj.dt, tuple(traj.samples))
+
+
+def _rebuilt(ensemble, agents_of):
+    """The ensemble with every node's trajectories copied into new objects;
+    agents_of(mode index, node) gives the agents each node keeps, in order."""
+    trees = {}
+    for i, mode in enumerate(ensemble.modes):
+        tree = ensemble.trees[mode.mode_id]
+        nodes = {}
+        for path, node in tree.nodes.items():
+            trajs = {a: _copy(node.agent_trajectories[a]) for a in agents_of(i, node)}
+            nodes[path] = ScenarioNode(path, node.stage, trajs, node.branch_probability)
+        trees[mode.mode_id] = ScenarioTree(nodes=nodes, schedule=tree.schedule)
+    return ECPredictionEnsemble(modes=ensemble.modes, trees=trees)
+
+
+def _trajectory_ids(ensemble):
+    return [id(t) for tree in ensemble.trees.values() for node in tree.nodes.values()
+            for t in node.agent_trajectories.values()]
+
+
 class TestCostTensor:
     def test_ec_tensor_matches_per_entry_stage_cost(self):
         tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
         ego_fp = Footprint(4.6, 1.9)
         got = build_cost_tensor_ec(tree, ensemble, lane_map, weights, ego_fp, fps).values
-        norm = _goal_norm(tree, weights)
         want = {}
         for node in tree.nodes:
             for scen in ensemble.tree_for_ego_node(node.id).stage_nodes(node.stage):
                 want[(node.id, scen.path)] = stage_cost(
-                    node.segment, scen, lane_map, weights, ego_fp, fps, norm)
+                    node.segment, scen, lane_map, weights, ego_fp, fps, _root(tree))
         assert len(want) > len(tree.nodes)
         assert any(v > 0 for v in want.values())
         _assert_close(got, want)
 
     def test_ec_tensor_matches_scalar_running_cost(self):
-        """Independent of _stage_costs: every entry is the trapezoid, summed
-        sample by sample, of the scalar running_cost with finite-differenced
-        comfort inputs. Both sides evaluate each term in float64 to within a
-        few ulps and a stage sums 21 samples, so entries agree to about 1e-15
-        relative (4e-16 at most on this plan); 1e-12 leaves a wide margin.
-        bench/checks.py allows 1e-7 because it also sums in another order and
-        reimplements the clearance and lane geometry."""
+        """Independent of the batched build: see _scalar_tensor. Both sides
+        evaluate each term in float64 to within a few ulps and a stage sums
+        21 samples, so entries agree to about 1e-15 relative (4e-16 at most on
+        this plan); 1e-12 leaves a wide margin. bench/checks.py allows 1e-7
+        because it also sums in another order and reimplements the clearance
+        and lane geometry."""
         tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
         ego_fp = Footprint(4.6, 1.9)
         got = build_cost_tensor_ec(tree, ensemble, lane_map, weights, ego_fp, fps).values
-        norm = _goal_norm(tree, weights)
-        want = {}
-        for node in tree.nodes:
-            seg = node.segment
-            samples, dt = seg.samples, seg.dt
-            acc = [(b.v - a.v) / dt for a, b in zip(samples, samples[1:])]
-            yaw = [wrap_angle(b.psi - a.psi) / dt for a, b in zip(samples, samples[1:])]
-            acc, yaw = acc + acc[-1:], yaw + yaw[-1:]
-            for scen in ensemble.tree_for_ego_node(node.id).stage_nodes(node.stage):
-                # a one-sample root segment has no steps: no samples, cost 0
-                per_sample = [
-                    running_cost(ego, ego_fp,
-                                 {aid: (t.samples[k], fps[aid]) for aid, t in scen.agent_trajectories.items()},
-                                 lane_map, weights, a, y, norm)
-                    for k, (ego, a, y) in enumerate(zip(samples, acc, yaw))
-                ]
-                want[(node.id, scen.path)] = sum(dt * (a + b) / 2.0 for a, b in zip(per_sample, per_sample[1:]))
+        want = _scalar_tensor(tree, ensemble, lane_map, weights, ego_fp, fps)
         assert len(want) > len(tree.nodes)
         assert any(v > 0 for v in want.values())
         _assert_close(got, want)
+
+    def test_unshared_trajectories_with_mixed_agents_match_scalar_running_cost(self):
+        """Same-stage ego nodes read different scenario trees whose nodes hold
+        their own trajectory objects and differ in agent set and order."""
+        tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
+        orders = [("car", "truck", "bike"), ("bike", "car"), ("truck",), ("bike", "truck", "car"), ()]
+
+        def agents_of(i, node):
+            return orders[(i + node.stage + sum(node.path)) % len(orders)] if node.stage else tuple(
+                node.agent_trajectories)
+
+        mixed = _rebuilt(ensemble, agents_of)
+        ego_fp = Footprint(4.6, 1.9)
+        for stage in (1, 2):
+            read = {id(mixed.tree_for_ego_node(n.id)) for n in tree.stage_nodes(stage)}
+            assert len(read) == len(tree.stage_nodes(stage)) > 1
+            seen = {tuple(s.agent_trajectories) for n in tree.stage_nodes(stage)
+                    for s in mixed.tree_for_ego_node(n.id).stage_nodes(stage)}
+            assert len(seen) == len(orders)
+        assert len(set(_trajectory_ids(mixed))) == len(_trajectory_ids(mixed))
+        got = build_cost_tensor_ec(tree, mixed, lane_map, weights, ego_fp, fps).values
+        _assert_close(got, _scalar_tensor(tree, mixed, lane_map, weights, ego_fp, fps))
+
+    def test_equal_trajectories_in_new_objects_give_the_same_tensor(self):
+        """The distinct-trajectory index keys on identity; equal copies only
+        add columns and must not change a bit of any entry."""
+        tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
+        copied = _rebuilt(ensemble, lambda i, node: tuple(node.agent_trajectories))
+        assert len(set(_trajectory_ids(ensemble))) < len(_trajectory_ids(ensemble))
+        assert len(set(_trajectory_ids(copied))) == len(_trajectory_ids(copied))
+        shared = build_cost_tensor_ec(tree, ensemble, lane_map, weights, DEFAULT_FOOTPRINT, fps).values
+        got = build_cost_tensor_ec(tree, copied, lane_map, weights, DEFAULT_FOOTPRINT, fps).values
+        assert list(got) == list(shared)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in shared.values()]
+
+    @pytest.mark.parametrize("w_collision", [10.0, 0.0])
+    def test_one_clearance_call_per_stage_and_agent(self, monkeypatch, w_collision):
+        tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return obb_clearance(*args)
+
+        monkeypatch.setattr(treeplan.costs, "obb_clearance", counted)
+        weights = CostWeights(w_collision=w_collision, goal=weights.goal)
+        build_cost_tensor_ec(tree, ensemble, lane_map, weights, DEFAULT_FOOTPRINT, fps)
+        want = sum(
+            len({aid for n in tree.stage_nodes(stage) for s in ensemble.tree_for_ego_node(n.id).stage_nodes(stage)
+                 for aid in s.agent_trajectories})
+            for stage in range(1, tree.max_stage + 1)
+        )
+        assert want == 2 * 3  # two stages after the root, three agents
+        assert len(calls) == (want if w_collision else 0)
 
     def test_plain_tensor_matches_per_entry_stage_cost(self):
         tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
         scenario = ensemble.trees[ensemble.modes[-1].mode_id]
         got = build_cost_tensor(tree, scenario, lane_map, weights, DEFAULT_FOOTPRINT, fps).values
-        norm = _goal_norm(tree, weights)
         want = {
             (node.id, scen.path): stage_cost(node.segment, scen, lane_map, weights, DEFAULT_FOOTPRINT, fps,
-                                             norm)
+                                             _root(tree))
             for stage in range(tree.max_stage + 1)
             for node in tree.stage_nodes(stage)
             for scen in scenario.stage_nodes(stage)
@@ -273,10 +368,9 @@ class TestCostTensor:
             nodes[(j,)] = ScenarioNode((j,), 1, {a: trajs[a] for a in aids}, 1.0 / len(orders))
         scenario = ScenarioTree(nodes=nodes, schedule=base.schedule)
         got = build_cost_tensor(tree, scenario, lane_map, weights, DEFAULT_FOOTPRINT, fps).values
-        norm = _goal_norm(tree, weights)
         want = {
             (node.id, scen.path): stage_cost(node.segment, scen, lane_map, weights, DEFAULT_FOOTPRINT, fps,
-                                             norm)
+                                             _root(tree))
             for stage in (0, 1)
             for node in tree.stage_nodes(stage)
             for scen in scenario.stage_nodes(stage)
@@ -286,7 +380,10 @@ class TestCostTensor:
     @pytest.mark.parametrize("fault", ["length", "dt"])
     def test_mismatched_agent_support_raises(self, fault):
         tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
-        mode = ensemble.modes[0]
+        first, last = tree.stage_nodes(1)[0], tree.stage_nodes(1)[-1]
+        assert first.id != last.id
+        # only the last stage-1 ego node reads this mode's tree at stage 1
+        mode = ensemble.mode_for_ego_node(last.id)
         good = ensemble.trees[mode.mode_id]
         node = good.nodes[(1,)]
         traj = node.agent_trajectories["truck"]
@@ -297,7 +394,23 @@ class TestCostTensor:
         trees = dict(ensemble.trees)
         trees[mode.mode_id] = ScenarioTree(nodes=nodes, schedule=good.schedule)
         broken = type(ensemble)(modes=ensemble.modes, trees=trees)
-        with pytest.raises(ScheduleMismatch):
+        place = r"stage 1, ego node {}, scenario node \(1,\): agent truck"
+        with pytest.raises(ScheduleMismatch, match=place.format(last.id)):
             build_cost_tensor_ec(tree, broken, lane_map, weights, DEFAULT_FOOTPRINT, fps)
-        with pytest.raises(ScheduleMismatch):
+        # a plain tree is read by every ego node, the first one first
+        with pytest.raises(ScheduleMismatch, match=place.format(first.id)):
             build_cost_tensor(tree, trees[mode.mode_id], lane_map, weights, DEFAULT_FOOTPRINT, fps)
+
+    @pytest.mark.parametrize("fault", ["length", "dt"])
+    def test_mismatched_ego_segments_of_a_stage_raise(self, fault):
+        """The stage's ego segments are stacked into one block, so they must
+        share their sample count and dt."""
+        tree, ensemble, lane_map, weights, fps = _multi_agent_plan()
+        first, odd = tree.stage_nodes(2)[:2]
+        seg = odd.segment
+        bad = (Trajectory(seg.t0, seg.dt, seg.samples[:-1]) if fault == "length"
+               else Trajectory(seg.t0, seg.dt * 1.5, seg.samples))
+        nodes = tuple(TreeNode(n.id, n.stage, n.parent_id, bad) if n is odd else n for n in tree.nodes)
+        broken = TrajectoryTree(nodes, tree.schedule)
+        with pytest.raises(ScheduleMismatch, match=rf"stage 2: ego node {odd.id} has .*, ego node {first.id} has"):
+            build_cost_tensor_ec(broken, ensemble, lane_map, weights, DEFAULT_FOOTPRINT, fps)

@@ -139,7 +139,7 @@ class TestRolloutEndpoints:
             accel_grid=(a,), yaw_rate_grid=(omega,), speed_grid=(), lateral_offsets=(), limits=limits
         )
         start = AgentState(x, y, v, psi)
-        (got,) = sample_terminals(start, None, duration, cfg, dt)
+        (got,) = sample_terminals(start, None, duration, cfg)
         want = _rollout_end(start, UnicycleInput(a, omega), duration, dt, limits)
         if duration / k == dt and abs(start.psi + omega * duration) < math.pi - 1e-9:
             assert got == want
