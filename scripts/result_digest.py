@@ -2,7 +2,7 @@
 
     python3 scripts/result_digest.py --cutin-seeds 100
 
-Prints two sha256 digests, one per line:
+Prints three sha256 digests, one per line:
 
 - ``open-loop``: the nine seed-101 scenes of each of the ``dense-plan`` and
   ``deep-tree`` benchmark workloads, built by ``bench/workloads.py`` and
@@ -10,7 +10,11 @@ Prints two sha256 digests, one per line:
   and the NCR and NCG plans;
 - ``cut-in``: the closed-loop cut-in traces (``scenarios/cutin.json`` with
   ``configs/cutin_eval.json``) for episode seeds 0 .. N-1, each run with tpp,
-  ncr and ncg.
+  ncr and ncg;
+- ``ec-verify``: 100 ``treeplan.verify.random_ec_instance`` draws from
+  ``default_rng(1)``: ego tree, modes, scenario nodes and costs. These scenes
+  have no lane map, so this line covers the predictor's straight-line
+  rollouts and one- to three-stage ensembles.
 
 Floats enter the digests as ``float.hex``, so a difference in the last bit
 changes the digest. The package and the workloads are imported from the
@@ -28,12 +32,16 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(1, str(REPO / "src"))
 sys.path.insert(1, str(REPO / "bench"))
 
+import numpy as np  # noqa: E402
 import treeplan.config  # noqa: E402
 import treeplan.sim  # noqa: E402
+import treeplan.verify  # noqa: E402
 import workloads  # noqa: E402
 
 OPEN_LOOP_SEED = 101
 OPEN_LOOP_WORKLOADS = ("dense-plan", "deep-tree")
+EC_VERIFY_SEED = 1
+EC_VERIFY_DRAWS = 100
 
 
 def _tokens(obj):
@@ -94,6 +102,18 @@ def cutin_digest(n_seeds: int) -> str:
     return h.hexdigest()
 
 
+def ec_verify_digest() -> str:
+    rng = np.random.default_rng(EC_VERIFY_SEED)
+    h = hashlib.sha256()
+    for _ in range(EC_VERIFY_DRAWS):
+        tree, ensemble, costs = treeplan.verify.random_ec_instance(rng)
+        _feed(h, tree.nodes)
+        _feed(h, [(m.mode_id, m.ego_path) for m in ensemble.modes])
+        _feed(h, {mode_id: t.nodes for mode_id, t in ensemble.trees.items()})
+        _feed(h, costs.values)
+    return h.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cutin-seeds", type=int, default=100, help="episode seeds 0 .. N-1 (default 100)")
@@ -102,6 +122,7 @@ def main(argv=None):
         ap.error("--cutin-seeds must be >= 0")
     print(f"open-loop {open_loop_digest()}")
     print(f"cut-in {cutin_digest(args.cutin_seeds)}")
+    print(f"ec-verify {ec_verify_digest()}")
     return 0
 
 

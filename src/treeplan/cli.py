@@ -44,7 +44,7 @@ def cmd_run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     planner = args.planner or cfg.planner
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = args.seed if args.seed is not None else cfg.sim.seed
     try:
         trace, report = run_episode(scenario, planner, cfg, seed)
     except ScenarioError as exc:

@@ -189,7 +189,6 @@ class PlannerConfig:
     planner: str = "tpp"
     ncr_worst_case: bool = False
     sim: SimConfig = field(default_factory=SimConfig)
-    seed: int = 0
 
 
 _CONFIG_KEYS = ("sampler", "limits", "schedule", "predictor", "cost", "planner", "ncr_worst_case", "sim", "seed")
@@ -236,8 +235,7 @@ def parse_planner_config(doc: dict) -> PlannerConfig:
         sim_doc = dict(_keys(doc.get("sim", {}), _fields(SimConfig, "seed"), "sim"))
         spawn = SpawnConfig(**_keys(sim_doc.pop("spawn", {}), _fields(SpawnConfig), "sim.spawn"))
         ou = OUParams(**_keys(sim_doc.pop("ou", {}), _fields(OUParams), "sim.ou"))
-        seed = int(doc.get("seed", 0))
-        sim = SimConfig(spawn=spawn, ou=ou, seed=seed, **sim_doc)
+        sim = SimConfig(spawn=spawn, ou=ou, seed=int(doc.get("seed", 0)), **sim_doc)
         return PlannerConfig(
             sampler=sampler,
             schedule=schedule,
@@ -246,7 +244,6 @@ def parse_planner_config(doc: dict) -> PlannerConfig:
             planner=str(doc.get("planner", "tpp")),
             ncr_worst_case=bool(doc.get("ncr_worst_case", False)),
             sim=sim,
-            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"invalid planner config: {exc}") from exc

@@ -3,8 +3,9 @@
 A predictor expands one stage at a time given the agents' concatenated
 histories and the ego's conditioned motion through that stage. Flattening the
 ego tree yields the conditioning modes; per mode, a scenario tree is built
-with rng keys derived from the shared ego prefix so that modes agreeing
-through stage i produce identical trees through stage i (causal consistency).
+node by node, each expansion keyed by (seed, stage, scenario path, ego prefix),
+so that modes agreeing through stage i produce identical trees through stage i
+(causal consistency). A history grows by one segment per expanded node.
 """
 
 from __future__ import annotations
@@ -155,14 +156,6 @@ def flatten_ec_modes(tree: TrajectoryTree) -> list:
     return modes
 
 
-def _rng_key(seed: int, stage: int, scen_path: tuple, ego_prefix: tuple) -> int:
-    # shared among all EC modes with the same ego prefix through this stage
-    ss = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(stage,) + tuple(scen_path) + tuple(ego_prefix)
-    )
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def predict_scenario_tree(
     predictor,
     scene: Scene,
@@ -180,8 +173,7 @@ def predict_scenario_tree(
     """
     if branching_factor < 1:
         raise ValueError("branching_factor must be >= 1")
-    dt = schedule.dt
-    base_history = scene.initial_history(dt)
+    base_history = scene.initial_history(schedule.dt)
     root = ScenarioNode(
         path=(),
         stage=0,
@@ -189,15 +181,16 @@ def predict_scenario_tree(
         branch_probability=1.0,
     )
     nodes = {(): root}
-    frontier = [root]
+    # (node, its history); the root's is a copy, so a predictor cannot edit the root node
+    frontier = [(root, dict(base_history))]
     n_stages = min(schedule.num_stages, len(mode.ego_path) - 1)
     for stage in range(1, n_stages + 1):
         ego_seg = mode.ego_segments[stage]
         ego_prefix = mode.ego_path[: stage + 1]
         new_frontier = []
-        for node in frontier:
-            history = _accumulate_history(base_history, nodes, node.path)
-            key = _rng_key(seed, stage, node.path, ego_prefix)
+        for node, history in frontier:
+            # equal keys exactly when (stage, scenario path, ego prefix) are equal
+            key = (seed, stage, node.path, ego_prefix)
             try:
                 hypotheses = predictor.predict_stage(history, ego_seg, stage, key, rollouts)
             except Exception as exc:  # noqa: BLE001 - context re-raise
@@ -214,21 +207,16 @@ def predict_scenario_tree(
                     branch_probability=float(prob),
                 )
                 nodes[child.path] = child
-                new_frontier.append(child)
+                if stage < n_stages:
+                    child_history = {
+                        aid: concat_trajectories([hist, child.agent_trajectories.get(aid)])
+                        for aid, hist in history.items()
+                    }
+                    new_frontier.append((child, child_history))
         frontier = new_frontier
     tree = ScenarioTree(nodes=nodes, schedule=schedule)
     tree.validate()
     return tree
-
-
-def _accumulate_history(base_history: dict, nodes: dict, path: tuple) -> dict:
-    """Original history extended by the predictions along the node's ancestry."""
-    chain = [nodes[path[:k]] for k in range(1, len(path) + 1)]
-    out = {}
-    for aid, hist in base_history.items():
-        parts = [hist] + [n.agent_trajectories[aid] for n in chain if aid in n.agent_trajectories]
-        out[aid] = concat_trajectories(parts)
-    return out
 
 
 @dataclass(frozen=True)
@@ -317,6 +305,10 @@ def predict_ensemble(
 # kinematic baseline predictor
 
 
+# half-width of the corridor ahead of an agent in which ego samples count as crossing
+YIELD_LATERAL = 2.0
+
+
 @dataclass
 class KinematicPredictor:
     """Two per-agent hypotheses: maintain speed, or brake to a stop.
@@ -335,24 +327,28 @@ class KinematicPredictor:
     b_decel: float = 4.0
     tau_yield: float = 3.0
     yield_boost: float = 2.0
-    yield_lateral: float = 2.0
 
     def predict_stage(
-        self, history: dict, ego_segment: Trajectory, stage: int, rng_key: int, rollouts: dict
+        self, history: dict, ego_segment: Trajectory, stage: int, rng_key: tuple, rollouts: dict
     ):
         """Joint hypotheses for one stage.
 
-        The agents' motion does not depend on the ego, so each agent's
-        (maintain, brake) rollout is read from `rollouts`, keyed by the
-        agent's state, the braking deceleration and the stage's t0, duration
-        and dt, and computed only on a miss. The table belongs to one caller
-        and one predictor, so the lane map is not part of the key. The ego
-        segment sets the branch probabilities alone.
+        `rng_key` is the expansion's hashable key, equal for two expansions
+        exactly when their seed, stage, scenario path and ego prefix are; a
+        stochastic predictor would derive its generator from it. The agents'
+        motion does not depend on the ego, so each agent's (maintain, brake)
+        rollout is read from `rollouts`, keyed by the agent's state, the
+        braking deceleration and the stage's t0, duration and dt, and
+        computed only on a miss. The table belongs to one caller and one
+        predictor, so the lane map is not part of the key. The ego segment
+        sets the branch probabilities alone. Combinations are carried as
+        tuples and become dicts only when kept.
         """
         del stage, rng_key  # deterministic model
         t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
+        aids = sorted(history)
         per_agent = []
-        for aid in sorted(history):
+        for aid in aids:
             state = history[aid].end
             key = (state, self.b_decel, t0, duration, dt)
             if key not in rollouts:
@@ -362,21 +358,18 @@ class KinematicPredictor:
                 )
             maintain, brake = rollouts[key]
             p_brake = self.brake_prior
-            if _ego_crosses_in_front(ego_segment, state, self.tau_yield, self.yield_lateral):
+            if _ego_crosses_in_front(ego_segment, state, self.tau_yield, YIELD_LATERAL):
                 p_brake *= self.yield_boost
             p_maintain = self.maintain_prior
             total = p_maintain + p_brake
             per_agent.append(
-                (aid, [("maintain", maintain, p_maintain / total), ("brake", brake, p_brake / total)])
+                [("maintain", maintain, p_maintain / total), ("brake", brake, p_brake / total)]
             )
 
-        if not per_agent:
-            return [({}, 1.0)]
-
-        joint = [({}, 1.0, ())]
-        for aid, hyps in per_agent:
+        joint = [((), 1.0, ())]
+        for hyps in per_agent:
             joint = [
-                ({**trajs, aid: traj}, p * hp, names + (name,))
+                (trajs + (traj,), p * hp, names + (name,))
                 for trajs, p, names in joint
                 for name, traj, hp in hyps
             ]
@@ -384,7 +377,7 @@ class KinematicPredictor:
         joint.sort(key=lambda item: (-item[1], item[2]))
         joint = joint[: self.branching_factor]
         total = sum(p for _, p, _ in joint)
-        return [(trajs, p / total) for trajs, p, _ in joint]
+        return [(dict(zip(aids, trajs)), p / total) for trajs, p, _ in joint]
 
 
 def _advance_agent(

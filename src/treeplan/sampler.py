@@ -177,6 +177,14 @@ def segment_feasible(spline: SplineSegment, limits: DynamicsLimits, dt: float, e
     return True
 
 
+# lanes farther than this from the parent state offer no targets (m)
+LANE_SEARCH_RADIUS = 5.0
+# candidates closer than all three of these are duplicates (m, rad, m/s)
+DEDUPE_POS_TOL = 0.1
+DEDUPE_PSI_TOL = 0.05
+DEDUPE_V_TOL = 0.1
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     accel_grid: tuple = (-4.0, -2.0, 0.0, 2.0)
@@ -184,9 +192,6 @@ class SamplerConfig:
     speed_grid: tuple = (2.0, 6.0, 10.0, 14.0)
     lateral_offsets: tuple = (-1.0, 0.0, 1.0)
     max_children: int = 4
-    lane_search_radius: float = 5.0
-    dedupe_pos_tol: float = 0.1
-    dedupe_psi_tol: float = 0.05
     limits: DynamicsLimits = field(default_factory=DynamicsLimits)
 
     def __post_init__(self):
@@ -219,10 +224,11 @@ def sample_terminals(
                 continue
             candidates.append(integrate_unicycle(current, UnicycleInput(a, omega), stage_duration, limits))
 
-    if lane_map is not None:
+    # a lane target needs a target speed and a lateral offset
+    if lane_map is not None and config.speed_grid and config.lateral_offsets:
         for lane in lane_map.lanes:
             arc, lat, _ = project_to_lane((current.x, current.y), lane.centerline)
-            if abs(lat) > config.lane_search_radius:
+            if abs(lat) > LANE_SEARCH_RADIUS:
                 continue
             for v_t in config.speed_grid:
                 v_t = min(max(v_t, 0.0), limits.v_max)
@@ -241,10 +247,10 @@ def sample_terminals(
         dup = False
         for k in kept:
             if (
-                abs(cand.x - k.x) <= config.dedupe_pos_tol
-                and abs(cand.y - k.y) <= config.dedupe_pos_tol
-                and abs(wrap_angle(cand.psi - k.psi)) <= config.dedupe_psi_tol
-                and abs(cand.v - k.v) <= 0.1
+                abs(cand.x - k.x) <= DEDUPE_POS_TOL
+                and abs(cand.y - k.y) <= DEDUPE_POS_TOL
+                and abs(wrap_angle(cand.psi - k.psi)) <= DEDUPE_PSI_TOL
+                and abs(cand.v - k.v) <= DEDUPE_V_TOL
             ):
                 dup = True
                 break

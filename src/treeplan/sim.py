@@ -308,19 +308,16 @@ def run_closed_loop(
             if err is not None:
                 events["planner_error"] = err
 
-        # ego advance
+        # ego advance: move to the next plan segment when this one has run out
+        following = not plan.fallback and plan.traj is not None
+        if following and t + cfg.sim_dt - plan.plan_time > plan.traj.t_end + 1e-9:
+            err = advance_plan(t + cfg.sim_dt)
+            if err is not None:
+                events["planner_error"] = err
         if plan.fallback or plan.traj is None:
             ego = integrate_unicycle(ego, UnicycleInput(a_min, 0.0), cfg.sim_dt, pc.sampler.limits)
         else:
-            t_rel = t + cfg.sim_dt - plan.plan_time
-            if t_rel > plan.traj.t_end + 1e-9:
-                err = advance_plan(t + cfg.sim_dt)
-                if err is not None:
-                    events["planner_error"] = err
-            if plan.fallback or plan.traj is None:
-                ego = integrate_unicycle(ego, UnicycleInput(a_min, 0.0), cfg.sim_dt, pc.sampler.limits)
-            else:
-                ego = plan.traj.state_at(t + cfg.sim_dt - plan.plan_time)
+            ego = plan.traj.state_at(t + cfg.sim_dt - plan.plan_time)
 
         # other agents advance
         new_states = {}

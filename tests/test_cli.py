@@ -71,6 +71,13 @@ class TestRun:
         assert len(lines) == 40
         json.loads(lines[0])
 
+    def test_seed_defaults_to_the_config_seed(self, paths):
+        scen, cfg, tmp = paths
+        cfg.write_text(json.dumps({**CONFIG, "seed": 4}))
+        out = tmp / "trace.jsonl"
+        assert main(["run", "--scenario", str(scen), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads(Path(str(out) + ".report.json").read_text())["seed"] == 4
+
     def test_byte_identical_reruns(self, paths):
         scen, cfg, tmp = paths
         out_a, out_b = tmp / "a.jsonl", tmp / "b.jsonl"

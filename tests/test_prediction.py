@@ -2,7 +2,7 @@
 causal consistency."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -292,6 +292,130 @@ class TestRolloutTable:
         ensemble = self._predict(KinematicPredictor(lane_map=two_lane_map, branching_factor=4), tree, scene)
         reference = self._predict(Fresh(lane_map=two_lane_map, branching_factor=4), tree, scene)
         assert ensemble == reference
+
+
+def _ancestor_history(base_history, nodes, path):
+    """Reference: the original history extended by the predictions along the
+    node's ancestry, rebuilt from the root."""
+    chain = [nodes[path[:k]] for k in range(1, len(path) + 1)]
+    out = {}
+    for aid, hist in base_history.items():
+        parts = [hist] + [n.agent_trajectories[aid] for n in chain if aid in n.agent_trajectories]
+        out[aid] = concat_trajectories(parts)
+    return out
+
+
+@dataclass
+class _Recording(KinematicPredictor):
+    """Records every expansion's mode, key and history, in call order."""
+
+    conditions_on_full_mode = True
+    calls: list = field(default_factory=list)
+
+    def set_mode(self, mode):
+        self._mode = mode
+
+    def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+        self.calls.append((self._mode, stage, rng_key, history))
+        return super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+
+
+class TestExpansion:
+    """The key and the history each expansion hands the predictor."""
+
+    @staticmethod
+    def _expansions():
+        """(key, stage, scenario path, ego prefix, history, scenario tree) per
+        expansion of a 3-stage, 8-mode ensemble with two agents."""
+        tree = _structural_tree(3, 2)
+        scene = Scene(agents={"a": AgentState(10.0, 0.0, 5.0, 0.0), "b": AgentState(20.0, 3.0, 4.0, 0.0)})
+        pred = _Recording(branching_factor=2)
+        ensemble = predict_ensemble(pred, scene, tree, tree.schedule, 2, 9)
+        out = []
+        for mode in ensemble.modes:
+            scen = ensemble.trees[mode.mode_id]
+            calls = [c for c in pred.calls if c[0] is mode]
+            # a tree expands breadth first, each stage in path order
+            expanded = [n for stage in range(3) for n in scen.stage_nodes(stage)]
+            assert [c[1] for c in calls] == [n.stage + 1 for n in expanded]
+            for (_, stage, key, history), node in zip(calls, expanded):
+                out.append((key, stage, node.path, mode.ego_path[: stage + 1], history, scen))
+        return scene, out
+
+    def test_keys_equal_exactly_when_the_expansions_are(self):
+        _, expansions = self._expansions()
+        assert len(expansions) == 8 * (1 + 2 + 4)
+        for key_a, *where_a, _, _ in expansions:
+            hash(key_a)
+            for key_b, *where_b, _, _ in expansions:
+                assert (key_a == key_b) == (where_a == where_b)
+        distinct = {e[0] for e in expansions}
+        assert len(expansions) > len(distinct) == len({tuple(e[1:4]) for e in expansions})
+
+    def test_histories_equal_the_ancestor_chain(self):
+        scene, expansions = self._expansions()
+        base = scene.initial_history(0.1)
+        for _, _, path, _, history, scen in expansions:
+            assert history == _ancestor_history(base, scen.nodes, path)
+            if path == ():
+                assert history is not scen.root.agent_trajectories
+
+
+def _all_dicts_predict_stage(pred, history, ego_segment, rollouts):
+    """Reference: the joint product built as one merged dict per combination."""
+    t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
+    per_agent = []
+    for aid in sorted(history):
+        state = history[aid].end
+        key = (state, pred.b_decel, t0, duration, dt)
+        if key not in rollouts:
+            rollouts[key] = tuple(
+                _advance_agent(state, accel, duration, dt, t0, pred.lane_map) for accel in (0.0, -pred.b_decel)
+            )
+        maintain, brake = rollouts[key]
+        p_brake = pred.brake_prior
+        if prediction._ego_crosses_in_front(ego_segment, state, pred.tau_yield, prediction.YIELD_LATERAL):
+            p_brake *= pred.yield_boost
+        total = pred.maintain_prior + p_brake
+        per_agent.append(
+            (aid, [("maintain", maintain, pred.maintain_prior / total), ("brake", brake, p_brake / total)])
+        )
+    joint = [({}, 1.0, ())]
+    for aid, hyps in per_agent:
+        joint = [
+            ({**trajs, aid: traj}, p * hp, names + (name,)) for trajs, p, names in joint for name, traj, hp in hyps
+        ]
+    joint.sort(key=lambda item: (-item[1], item[2]))
+    joint = joint[: pred.branching_factor]
+    total = sum(p for _, p, _ in joint)
+    return [(trajs, p / total) for trajs, p, _ in joint]
+
+
+class TestJointHypotheses:
+    @pytest.mark.parametrize("branching", [1, 4, 64])
+    def test_equal_to_the_all_dicts_product(self, two_lane_map, branching):
+        """Six agents, three of them crossed by the ego segment."""
+        pred = KinematicPredictor(lane_map=two_lane_map, branching_factor=branching)
+        ego_seg = Trajectory(0.0, 0.1, tuple(AgentState(2.0 + 0.8 * k, 0.0, 8.0, 0.0) for k in range(21)))
+        agents = {
+            f"a{k}": AgentState(x, y, v, 0.0)
+            for k, (x, y, v) in enumerate([(0.0, 0.0, 6.0), (5.0, 3.5, 9.0), (-8.0, 0.0, 10.0),
+                                           (30.0, 3.5, 4.0), (-3.0, 1.0, 7.0), (60.0, 0.0, 0.0)])
+        }
+        history = {aid: Trajectory(0.0, 0.1, (state,)) for aid, state in agents.items()}
+        got = pred.predict_stage(history, ego_seg, 1, ("key",), {})
+        want = _all_dicts_predict_stage(pred, history, ego_seg, {})
+        lateral = prediction.YIELD_LATERAL
+        crossed = sum(prediction._ego_crosses_in_front(ego_seg, s, pred.tau_yield, lateral) for s in agents.values())
+        assert crossed == 3
+        assert len(got) == len(want) == min(branching, 2 ** len(agents))
+        for (trajs, p), (ref_trajs, ref_p) in zip(got, want):
+            assert float.hex(p) == float.hex(ref_p)
+            assert list(trajs.items()) == list(ref_trajs.items())
+
+    def test_no_agents_one_empty_hypothesis(self):
+        ego_seg = Trajectory(0.0, 0.1, (AgentState(0, 0, 5, 0),) * 21)
+        assert KinematicPredictor().predict_stage({}, ego_seg, 1, ("key",), {}) == [({}, 1.0)]
 
 
 class TestAdversarialPredictor:

@@ -19,6 +19,7 @@ from treeplan import (
     integrate_unicycle,
     project_to_lane,
 )
+from treeplan import sampler
 from treeplan.errors import DegenerateDuration
 from treeplan.sampler import TreeNode, TrajectoryTree, sample_terminals, segment_feasible, spline_to_trajectory
 from treeplan.verify import spline_residual
@@ -113,6 +114,29 @@ class TestSampleTerminals:
         for t in lane_targets:
             _, lat, _ = project_to_lane((t.x, t.y), lane.centerline)
             assert abs(lat) <= band + 1e-6
+
+    @pytest.mark.parametrize("empty", ["speed_grid", "lateral_offsets"])
+    def test_no_lane_projection_when_a_grid_is_empty(self, monkeypatch, two_lane_map, empty):
+        """A lane target needs a target speed and an offset; without either
+        no lane is projected and the candidates are the rollout endpoints."""
+        calls = []
+        real = sampler.project_to_lane
+
+        def counted(point, centerline):
+            calls.append(point)
+            return real(point, centerline)
+
+        monkeypatch.setattr(sampler, "project_to_lane", counted)
+        start = AgentState(10.0, 0.5, 8.0, 0.0)
+        full = SamplerConfig()
+        assert len(sample_terminals(start, two_lane_map, 2.0, full)) > len(sample_terminals(start, None, 2.0, full))
+        assert len(calls) == len(two_lane_map.lanes)
+
+        calls.clear()
+        cfg = SamplerConfig(**{empty: ()})
+        got = sample_terminals(start, two_lane_map, 2.0, cfg)
+        assert calls == []
+        assert got == sample_terminals(start, None, 2.0, cfg)
 
 
 def _rollout_end(state, u, duration, dt, limits):
