@@ -2,7 +2,7 @@
 
     python3 scripts/result_digest.py --cutin-seeds 100
 
-Prints three sha256 digests, one per line:
+Prints four sha256 digests, one per line:
 
 - ``open-loop``: the nine seed-101 scenes of each of the ``dense-plan`` and
   ``deep-tree`` benchmark workloads, built by ``bench/workloads.py`` and
@@ -14,7 +14,13 @@ Prints three sha256 digests, one per line:
 - ``ec-verify``: 100 ``treeplan.verify.random_ec_instance`` draws from
   ``default_rng(1)``: ego tree, modes, scenario nodes and costs. These scenes
   have no lane map, so this line covers the predictor's straight-line
-  rollouts and one- to three-stage ensembles.
+  rollouts and one- to three-stage ensembles;
+- ``sampler``: 40 ``treeplan.sampler.grow_tree`` trees from ``default_rng(2)``
+  draws of start state, sampler grids (several values on each axis), stage
+  schedule and seed, three in four of them on a map of two lanes curving
+  along a circle as polylines of many segments. The open-loop scenes are all
+  straight lanes whose headings are exactly 0; this line sees the lane
+  headings, lane targets and rollout endpoints of curved roads.
 
 Floats enter the digests as ``float.hex``, so a difference in the last bit
 changes the digest. The package and the workloads are imported from the
@@ -25,6 +31,7 @@ output.
 import argparse
 import dataclasses
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -34,14 +41,19 @@ sys.path.insert(1, str(REPO / "bench"))
 
 import numpy as np  # noqa: E402
 import treeplan.config  # noqa: E402
+import treeplan.sampler  # noqa: E402
 import treeplan.sim  # noqa: E402
 import treeplan.verify  # noqa: E402
+import treeplan.world  # noqa: E402
 import workloads  # noqa: E402
 
 OPEN_LOOP_SEED = 101
 OPEN_LOOP_WORKLOADS = ("dense-plan", "deep-tree")
 EC_VERIFY_SEED = 1
 EC_VERIFY_DRAWS = 100
+SAMPLER_SEED = 2
+SAMPLER_DRAWS = 40
+CURVE_RADIUS = 60.0  # m, of the inner lane's centre line
 
 
 def _tokens(obj):
@@ -114,6 +126,51 @@ def ec_verify_digest() -> str:
     return h.hexdigest()
 
 
+def curved_lane_map() -> treeplan.world.LaneGraph:
+    """Two lanes 3.5 m apart turning left along a circle centred at
+    (0, CURVE_RADIUS), from heading 0 at x = 0 through 135 degrees, each a
+    polyline of 18 segments."""
+    lanes = []
+    for k, offset in enumerate((0.0, -3.5)):
+        r = CURVE_RADIUS - offset
+        pts = [
+            (r * math.sin(th), CURVE_RADIUS - r * math.cos(th))
+            for th in np.linspace(0.0, 0.75 * math.pi, 19).tolist()
+        ]
+        lanes.append(treeplan.world.Lane(f"C{k}", np.array(pts), 12.0))
+    return treeplan.world.LaneGraph(tuple(lanes))
+
+
+def _sorted_uniform(rng, low, high, size_range) -> tuple:
+    return tuple(sorted(rng.uniform(low, high, size=int(rng.integers(*size_range))).tolist()))
+
+
+def sampler_digest() -> str:
+    rng = np.random.default_rng(SAMPLER_SEED)
+    lane_map = curved_lane_map()
+    h = hashlib.sha256()
+    for draw in range(SAMPLER_DRAWS):
+        th = float(rng.uniform(0.0, 0.4 * math.pi))
+        r = CURVE_RADIUS + float(rng.uniform(-2.0, 5.5))
+        start = treeplan.world.AgentState(
+            r * math.sin(th), CURVE_RADIUS - r * math.cos(th), float(rng.uniform(0.0, 16.0)),
+            th + float(rng.normal(0.0, 0.1)),
+        )
+        cfg = treeplan.sampler.SamplerConfig(
+            accel_grid=_sorted_uniform(rng, -6.0, 4.0, (2, 6)),
+            yaw_rate_grid=_sorted_uniform(rng, -0.5, 0.5, (2, 6)),
+            speed_grid=_sorted_uniform(rng, 0.0, 16.0, (2, 5)),
+            lateral_offsets=_sorted_uniform(rng, -2.0, 2.0, (2, 4)),
+            max_children=int(rng.integers(2, 5)),
+        )
+        durations = rng.choice([1.0, 1.5, 2.0], size=int(rng.integers(1, 3))).tolist()
+        schedule = treeplan.sampler.StageSchedule((0.0, *durations), 0.1)
+        seed = int(rng.integers(2**31))
+        tree = treeplan.sampler.grow_tree(start, lane_map if draw % 4 else None, schedule, cfg, seed)
+        _feed(h, (tree.nodes, tree.truncated))
+    return h.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cutin-seeds", type=int, default=100, help="episode seeds 0 .. N-1 (default 100)")
@@ -123,6 +180,7 @@ def main(argv=None):
     print(f"open-loop {open_loop_digest()}")
     print(f"cut-in {cutin_digest(args.cutin_seeds)}")
     print(f"ec-verify {ec_verify_digest()}")
+    print(f"sampler {sampler_digest()}")
     return 0
 
 

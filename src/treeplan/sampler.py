@@ -19,8 +19,7 @@ from .world import (
     DynamicsLimits,
     LaneGraph,
     Trajectory,
-    UnicycleInput,
-    integrate_unicycle,
+    integrate_unicycle_grid,
     lane_point_at,
     project_to_lane,
     wrap_angle,
@@ -82,13 +81,13 @@ class SplineSegment:
 
     def _eval(self, coeffs, t, deriv=0):
         t = np.asarray(t, dtype=float)
-        c = np.array(coeffs)
+        c0, c1, c2, c3 = coeffs
         if deriv == 0:
-            return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+            return c0 + t * (c1 + t * (c2 + t * c3))
         if deriv == 1:
-            return c[1] + t * (2 * c[2] + t * 3 * c[3])
+            return c1 + t * (2 * c2 + t * 3 * c3)
         if deriv == 2:
-            return 2 * c[2] + 6 * c[3] * t
+            return 2 * c2 + 6 * c3 * t
         raise ValueError("deriv must be 0, 1 or 2")
 
     def position(self, t):
@@ -134,7 +133,8 @@ def spline_to_trajectory(
     ts = np.arange(n + 1) * dt
     xs, ys = spline.position(ts)
     vxs, vys = spline.velocity(ts)
-    speeds = np.hypot(vxs, vys)
+    speeds = np.hypot(vxs, vys).tolist()
+    xs, ys, vxs, vys = xs.tolist(), ys.tolist(), vxs.tolist(), vys.tolist()
     samples = [start]
     prev_psi = start.psi
     for k in range(1, n):
@@ -142,39 +142,11 @@ def spline_to_trajectory(
             psi = math.atan2(vys[k], vxs[k])
         else:
             psi = prev_psi
-        samples.append(AgentState(float(xs[k]), float(ys[k]), float(speeds[k]), psi))
+        samples.append(AgentState(xs[k], ys[k], speeds[k], psi))
         prev_psi = psi
     if n >= 1:
         samples.append(terminal)
     return Trajectory(t0=t0, dt=dt, samples=tuple(samples))
-
-
-def segment_feasible(spline: SplineSegment, limits: DynamicsLimits, dt: float, eps: float = 1e-6) -> bool:
-    """Dynamic-feasibility filter from the spline's analytic derivatives.
-
-    Rejects segments whose sampled speed exceeds v_max, whose longitudinal
-    acceleration leaves [a_min, a_max], whose curvature exceeds kappa_max, or
-    that pass through a cusp (speed collapses mid-segment and recovers).
-    """
-    n = max(int(round(spline.duration / dt)), 1)
-    ts = np.arange(n + 1) * dt
-    vx, vy = spline.velocity(ts)
-    ax, ay = spline.acceleration(ts)
-    speed = np.hypot(vx, vy)
-    if np.any(speed > limits.v_max + eps):
-        return False
-    moving = speed > 0.1
-    if np.any(moving):
-        a_lon = (vx[moving] * ax[moving] + vy[moving] * ay[moving]) / speed[moving]
-        if np.any(a_lon > limits.a_max + eps) or np.any(a_lon < limits.a_min - eps):
-            return False
-        kappa = (vx[moving] * ay[moving] - vy[moving] * ax[moving]) / speed[moving] ** 3
-        if np.any(np.abs(kappa) > limits.kappa_max + eps):
-            return False
-    # cusp: movement resumes after the speed collapses mid-segment
-    if speed[0] > 0.25 and speed[-1] > 0.25 and np.any(speed[1:-1] < 1e-3):
-        return False
-    return True
 
 
 # lanes farther than this from the parent state offer no targets (m)
@@ -183,6 +155,39 @@ LANE_SEARCH_RADIUS = 5.0
 DEDUPE_POS_TOL = 0.1
 DEDUPE_PSI_TOL = 0.05
 DEDUPE_V_TOL = 0.1
+# slack on every dynamic limit of the feasibility filter
+FEASIBILITY_EPS = 1e-6
+
+
+def segment_feasible(spline: SplineSegment, limits: DynamicsLimits, dt: float) -> bool:
+    """Dynamic-feasibility filter from the spline's analytic derivatives.
+
+    Rejects segments whose sampled speed exceeds v_max, whose longitudinal
+    acceleration leaves [a_min, a_max], whose curvature exceeds kappa_max, or
+    that pass through a cusp (speed collapses mid-segment and recovers).
+    Acceleration and curvature are judged on the samples moving faster than
+    0.1 m/s only.
+    """
+    n = max(int(round(spline.duration / dt)), 1)
+    ts = np.arange(n + 1) * dt
+    vx, vy = spline.velocity(ts)
+    speed = np.hypot(vx, vy)
+    if speed.max() > limits.v_max + FEASIBILITY_EPS:
+        return False
+    # cusp: movement resumes after the speed collapses mid-segment
+    if n > 1 and speed[0] > 0.25 and speed[-1] > 0.25 and speed[1:-1].min() < 1e-3:
+        return False
+    moving = speed > 0.1
+    if not moving.all():
+        if not moving.any():
+            return True
+        ts, vx, vy, speed = ts[moving], vx[moving], vy[moving], speed[moving]
+    ax, ay = spline.acceleration(ts)
+    a_lon = (vx * ax + vy * ay) / speed
+    if a_lon.max() > limits.a_max + FEASIBILITY_EPS or a_lon.min() < limits.a_min - FEASIBILITY_EPS:
+        return False
+    kappa = (vx * ay - vy * ax) / speed**3
+    return bool(np.abs(kappa).max() <= limits.kappa_max + FEASIBILITY_EPS)
 
 
 @dataclass(frozen=True)
@@ -210,19 +215,17 @@ def sample_terminals(
     """Candidate terminal states reachable within one stage.
 
     Union of constant accel/yaw-rate rollout endpoints and lane-centerline
-    targets, deduplicated within (0.1 m, 0.05 rad, 0.1 m/s). Each rollout
-    endpoint is one integrate_unicycle call over the whole stage, which steps
-    at most 0.1 s at a time.
+    targets, deduplicated within (0.1 m, 0.05 rad, 0.1 m/s). The rollout
+    endpoints of the whole (accel, yaw-rate) grid come from one
+    integrate_unicycle_grid call over the stage, which steps at most 0.1 s at
+    a time; each equals the integrate_unicycle endpoint of its input.
     """
     limits = config.limits
+    accels = [a for a in config.accel_grid if limits.a_min <= a <= limits.a_max]
+    yaw_rates = [omega for omega in config.yaw_rate_grid if abs(omega) <= limits.omega_max]
     candidates = []
-    for a in config.accel_grid:
-        if not (limits.a_min <= a <= limits.a_max):
-            continue
-        for omega in config.yaw_rate_grid:
-            if abs(omega) > limits.omega_max:
-                continue
-            candidates.append(integrate_unicycle(current, UnicycleInput(a, omega), stage_duration, limits))
+    for row in integrate_unicycle_grid(current, accels, yaw_rates, stage_duration, limits):
+        candidates += row
 
     # a lane target needs a target speed and a lateral offset
     if lane_map is not None and config.speed_grid and config.lateral_offsets:

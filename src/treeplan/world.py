@@ -231,6 +231,68 @@ def integrate_unicycle(
     return AgentState(x, y, v, wrap_angle(psi))
 
 
+def integrate_unicycle_grid(
+    state: AgentState,
+    accels,
+    yaw_rates,
+    dt: float,
+    limits: DynamicsLimits = DynamicsLimits(),
+) -> list:
+    """integrate_unicycle from one state under every constant (a, omega).
+
+    Returns one list per acceleration: grid[i][j] equals, bit for bit,
+    integrate_unicycle(state, UnicycleInput(accels[i], yaw_rates[j]), dt,
+    limits). The speed depends on the acceleration alone and the heading on
+    the yaw rate alone, so each is stepped once per value: the clamped speed
+    by the scalar loop, the unclamped heading as a sequential sum. Only the
+    position increments are formed per (a, omega) pair, as arrays in the
+    scalar loop's order of operations, and summed in sequence. Every cos and
+    sin is math's, so equality does not depend on numpy's math library.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_sub = max(1, int(math.ceil(dt / 0.1 - 1e-12)))
+    h = dt / n_sub
+    # speed at the start of each substep
+    v_start, v_final = [], []
+    for a in accels:
+        v, dv = state.v, (h / 6.0) * (a + 2 * a + 2 * a + a)
+        for _ in range(n_sub):
+            v_start.append(v)
+            v = v + dv
+            if v < 0.0:
+                v = 0.0
+            elif v > limits.v_max:
+                v = limits.v_max
+        v_final.append(v)
+    accel = np.array(accels, dtype=float).reshape(-1, 1)
+    v = np.array(v_start).reshape(-1, n_sub)
+    speeds = np.stack([v, v + 0.5 * h * accel, v + h * accel])  # (3, A, n_sub)
+    # heading at the start of each substep
+    omega = np.array(yaw_rates, dtype=float).reshape(-1, 1)
+    psi = np.empty((len(yaw_rates), n_sub + 1))
+    psi[:, 0] = state.psi
+    psi[:, 1:] = (h / 6.0) * (omega + 2 * omega + 2 * omega + omega)
+    psi = np.add.accumulate(psi, axis=1)
+    psi_final = [wrap_angle(p) for p in psi[:, -1].tolist()]
+    psi = psi[:, :-1]
+    angles = np.stack([psi, psi + 0.5 * h * omega, psi + h * omega]).ravel().tolist()
+    trig = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
+    # x and y rates at the start, middle and end of each substep: (2, 3, A, W, n_sub)
+    rates = speeds[None, :, :, None, :] * trig.reshape(2, 3, 1, len(yaw_rates), n_sub)
+    d1, d2, d4 = rates[:, 0], rates[:, 1], rates[:, 2]
+    twice_d2 = 2 * d2
+    steps = np.empty(d1.shape[:-1] + (n_sub + 1,))
+    steps[0, ..., 0] = state.x
+    steps[1, ..., 0] = state.y
+    steps[..., 1:] = (h / 6.0) * (d1 + twice_d2 + twice_d2 + d4)
+    ends = np.add.accumulate(steps, axis=-1)[..., -1].tolist()
+    return [
+        [AgentState(x, y, v, psi) for x, y, psi in zip(xs, ys, psi_final)]
+        for xs, ys, v in zip(ends[0], ends[1], v_final)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # oriented-box geometry
 

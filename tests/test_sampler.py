@@ -101,6 +101,86 @@ class TestFeasibility:
         sp = fit_spline(AgentState(0, 0, 8, 0), AgentState(3, 6, 8, math.pi / 2), 1.0)
         assert not segment_feasible(sp, DynamicsLimits(kappa_max=0.3), 0.1)
 
+    def test_acceleration_above_a_max_rejected(self):
+        """x(t) = 5t + 5t^2 over 1 s: a straight line at 10 m/s^2."""
+        sp = fit_spline(AgentState(0, 0, 5, 0), AgentState(10, 0, 15, 0), 1.0)
+        assert sp.coeffs_x == (0.0, 5.0, 5.0, 0.0)
+        assert not segment_feasible(sp, DynamicsLimits(a_max=4.0), 0.1)
+        assert segment_feasible(sp, DynamicsLimits(a_max=10.5), 0.1)
+
+    def test_acceleration_below_a_min_rejected(self):
+        """x(t) = 15t - 5t^2 over 1 s: a straight line at -10 m/s^2."""
+        sp = fit_spline(AgentState(0, 0, 15, 0), AgentState(10, 0, 5, 0), 1.0)
+        assert sp.coeffs_x == (0.0, 15.0, -5.0, 0.0)
+        assert not segment_feasible(sp, DynamicsLimits(a_min=-6.0), 0.1)
+        assert segment_feasible(sp, DynamicsLimits(a_min=-10.5), 0.1)
+
+    def test_partly_stationary_segment_judged_on_moving_samples(self):
+        """x(t) = c t^2 from rest: the first sample has speed 0 and is left
+        out of the acceleration and curvature tests; the rest move at 2c m/s^2."""
+        gentle = fit_spline(AgentState(0, 0, 0, 0), AgentState(4, 0, 4, 0), 2.0)
+        assert gentle.coeffs_x == (0.0, 0.0, 1.0, 0.0)
+        assert segment_feasible(gentle, DynamicsLimits(), 0.1)
+        hard = fit_spline(AgentState(0, 0, 0, 0), AgentState(12, 0, 12, 0), 2.0)
+        assert hard.coeffs_x == (0.0, 0.0, 3.0, 0.0)
+        assert not segment_feasible(hard, DynamicsLimits(a_max=4.0), 0.1)
+        assert segment_feasible(hard, DynamicsLimits(a_max=8.0), 0.1)
+
+    def test_stationary_segment_accepted(self):
+        sp = fit_spline(AgentState(0, 0, 0, 0), AgentState(0, 0, 0, 0), 2.0)
+        assert segment_feasible(sp, DynamicsLimits(), 0.1)
+
+    def test_cusp_rejected(self):
+        """x(t) = 1.5 t - 1.5 t^2 + 0.5 t^3, speed 1.5 (t - 1)^2: straight, at
+        most 1.5 m/s and 3 m/s^2, but it stops at t = 1 and drives on."""
+        sp = fit_spline(AgentState(0, 0, 1.5, 0), AgentState(1.0, 0, 1.5, 0), 2.0)
+        assert sp.coeffs_x == (0.0, 1.5, -1.5, 0.5)
+        assert not segment_feasible(sp, DynamicsLimits(), 0.1)
+        # the same stop with a start speed of at most 0.25 m/s is no cusp
+        slow = fit_spline(AgentState(0, 0, 0.2, 0), AgentState(0.4 / 3, 0, 0.2, 0), 2.0)
+        assert segment_feasible(slow, DynamicsLimits(), 0.1)
+
+
+def _reference_feasible(spline, limits, dt, eps=1e-6):
+    """Reference: the masked-array feasibility filter, every rule on every
+    sample through np.any."""
+    n = max(int(round(spline.duration / dt)), 1)
+    ts = np.arange(n + 1) * dt
+    vx, vy = spline.velocity(ts)
+    ax, ay = spline.acceleration(ts)
+    speed = np.hypot(vx, vy)
+    if np.any(speed > limits.v_max + eps):
+        return False
+    moving = speed > 0.1
+    if np.any(moving):
+        a_lon = (vx[moving] * ax[moving] + vy[moving] * ay[moving]) / speed[moving]
+        if np.any(a_lon > limits.a_max + eps) or np.any(a_lon < limits.a_min - eps):
+            return False
+        kappa = (vx[moving] * ay[moving] - vy[moving] * ax[moving]) / speed[moving] ** 3
+        if np.any(np.abs(kappa) > limits.kappa_max + eps):
+            return False
+    if speed[0] > 0.25 and speed[-1] > 0.25 and np.any(speed[1:-1] < 1e-3):
+        return False
+    return True
+
+
+_speeds = st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.0, 22.0))
+
+
+class TestFeasibilityReference:
+    @given(
+        x1=st.floats(-40, 40), y1=st.floats(-40, 40),
+        v0=_speeds, p0=st.floats(-math.pi, math.pi), v1=_speeds, p1=st.floats(-math.pi, math.pi),
+        steps=st.one_of(st.just(1), st.integers(1, 40)),
+        a_max=st.floats(0.5, 8.0), a_min=st.floats(-10.0, -0.5), kappa_max=st.floats(0.05, 2.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_decision_as_reference(self, x1, y1, v0, p0, v1, p1, steps, a_max, a_min, kappa_max):
+        dt = 0.1
+        sp = fit_spline(AgentState(0, 0, v0, p0), AgentState(x1, y1, v1, p1), steps * dt, dt)
+        limits = DynamicsLimits(a_max=a_max, a_min=a_min, kappa_max=kappa_max)
+        assert segment_feasible(sp, limits, dt) == _reference_feasible(sp, limits, dt)
+
 
 class TestSampleTerminals:
     def test_lane_targets_within_band(self):

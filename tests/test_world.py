@@ -22,6 +22,7 @@ from treeplan import (
 from treeplan.world import (
     concat_trajectories,
     footprint_corners,
+    integrate_unicycle_grid,
     lane_point_at,
     lane_points_at_batch,
     obb_clearance,
@@ -101,6 +102,59 @@ class TestIntegrateUnicycleReference:
         got = integrate_unicycle(state, u, dt, lim)
         want = _ref_rk4(state, u, dt, lim)
         assert (got.x, got.y, got.v, got.psi) == (want.x, want.y, want.v, want.psi)
+
+
+class TestIntegrateUnicycleGrid:
+    @staticmethod
+    def assert_cells_equal(state, accels, yaw_rates, dt, limits):
+        grid = integrate_unicycle_grid(state, accels, yaw_rates, dt, limits)
+        assert len(grid) == len(accels)
+        for a, row in zip(accels, grid):
+            assert len(row) == len(yaw_rates)
+            for w, got in zip(yaw_rates, row):
+                assert got == integrate_unicycle(state, UnicycleInput(a, w), dt, limits)
+
+    @pytest.mark.parametrize(
+        "v, accels, v_max",
+        [
+            (1.0, (-6.0, -4.0, -0.5, 0.0), 20.0),  # braking to 0: the mid-step speed goes negative
+            (10.0, (-2.0, 0.0, 2.0, 4.0), 12.0),  # accelerating into v_max
+            (15.0, (-4.0, 0.0, 3.0), 12.0),  # starting above v_max
+        ],
+    )
+    @pytest.mark.parametrize("dt", [0.1, 0.25, 2.0])
+    def test_speed_cases_bit_equal(self, v, accels, v_max, dt):
+        limits = DynamicsLimits(v_max=v_max)
+        state = AgentState(3.0, -2.0, v, 2.9)
+        self.assert_cells_equal(state, accels, (-1.0, -0.3, 0.0, 0.1, 0.7), dt, limits)
+
+    def test_speed_cases_reached(self):
+        """The parametrised cases really stop, clamp at v_max and start above it."""
+        limits = DynamicsLimits(v_max=12.0)
+        (stop,), (clamp,), (above,) = (
+            integrate_unicycle_grid(AgentState(0, 0, v, 0), (a,), (0.0,), 2.0, limits)
+            for v, a in ((1.0, -4.0), (10.0, 4.0), (15.0, 0.0))
+        )
+        assert stop[0].v == 0.0 and clamp[0].v == 12.0 and above[0].v == 12.0
+
+    @given(
+        x=st.floats(-100, 100), y=st.floats(-100, 100), v=st.floats(0, 25), psi=st.floats(-math.pi, math.pi),
+        accels=st.lists(st.floats(-8, 6), min_size=2, max_size=5),
+        yaw_rates=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=5),
+        dt=st.floats(0.01, 3.0), v_max=st.floats(1.0, 30.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_bit_equal(self, x, y, v, psi, accels, yaw_rates, dt, v_max):
+        self.assert_cells_equal(AgentState(x, y, v, psi), accels, yaw_rates, dt, DynamicsLimits(v_max=v_max))
+
+    def test_empty_axes(self):
+        state = AgentState(0, 0, 5, 0)
+        assert integrate_unicycle_grid(state, (), (0.1, 0.2), 1.0) == []
+        assert integrate_unicycle_grid(state, (1.0, 2.0), (), 1.0) == [[], []]
+
+    def test_rejects_nonpositive_dt(self):
+        with pytest.raises(ValueError):
+            integrate_unicycle_grid(AgentState(0, 0, 5, 0), (0.0,), (0.0,), 0.0)
 
 
 class TestAgentState:
