@@ -2,7 +2,7 @@
 
     python3 scripts/result_digest.py --cutin-seeds 100
 
-Prints four sha256 digests, one per line:
+Prints five sha256 digests, one per line:
 
 - ``open-loop``: the nine seed-101 scenes of each of the ``dense-plan`` and
   ``deep-tree`` benchmark workloads, built by ``bench/workloads.py`` and
@@ -20,7 +20,14 @@ Prints four sha256 digests, one per line:
   schedule and seed, three in four of them on a map of two lanes curving
   along a circle as polylines of many segments. The open-loop scenes are all
   straight lanes whose headings are exactly 0; this line sees the lane
-  headings, lane targets and rollout endpoints of curved roads.
+  headings, lane targets and rollout endpoints of curved roads;
+- ``prediction``: 30 ``treeplan.prediction.predict_ensemble`` calls from
+  ``default_rng(3)`` draws on the ``sampler`` line's curved map: an ego tree
+  grown on the curve, one to six agents at lateral offsets on and between
+  the lanes (some standing still) near the ego, priors of which some make
+  joint hypotheses tie exactly, and a branching factor of one to seven:
+  modes and scenario nodes. No other line rolls agents out along a curved
+  lane or sorts tied joint probabilities.
 
 Floats enter the digests as ``float.hex``, so a difference in the last bit
 changes the digest. The package and the workloads are imported from the
@@ -41,6 +48,7 @@ sys.path.insert(1, str(REPO / "bench"))
 
 import numpy as np  # noqa: E402
 import treeplan.config  # noqa: E402
+import treeplan.prediction  # noqa: E402
 import treeplan.sampler  # noqa: E402
 import treeplan.sim  # noqa: E402
 import treeplan.verify  # noqa: E402
@@ -54,6 +62,10 @@ EC_VERIFY_DRAWS = 100
 SAMPLER_SEED = 2
 SAMPLER_DRAWS = 40
 CURVE_RADIUS = 60.0  # m, of the inner lane's centre line
+PREDICTION_SEED = 3
+PREDICTION_DRAWS = 30
+# (maintain, brake, yield boost); the first two make tied joint hypotheses
+PREDICTION_PRIORS = ((0.5, 0.5, 2.0), (0.6, 0.3, 2.0), (0.7, 0.3, 2.0))
 
 
 def _tokens(obj):
@@ -171,6 +183,46 @@ def sampler_digest() -> str:
     return h.hexdigest()
 
 
+def _on_curve(th: float, r: float, v: float, psi_noise: float) -> treeplan.world.AgentState:
+    """State at angle th on a circle of radius r about the curve's centre,
+    heading along the circle plus psi_noise."""
+    return treeplan.world.AgentState(r * math.sin(th), CURVE_RADIUS - r * math.cos(th), v, th + psi_noise)
+
+
+def prediction_digest() -> str:
+    rng = np.random.default_rng(PREDICTION_SEED)
+    lane_map = curved_lane_map()
+    cfg = treeplan.sampler.SamplerConfig(
+        accel_grid=(-3.0, 0.0, 2.0), yaw_rate_grid=(-0.1, 0.0, 0.1, 0.2), speed_grid=(6.0, 12.0),
+        lateral_offsets=(-1.0, 0.0), max_children=2,
+    )
+    h = hashlib.sha256()
+    for _ in range(PREDICTION_DRAWS):
+        th = float(rng.uniform(0.0, 0.3 * math.pi))
+        start = _on_curve(th, CURVE_RADIUS + float(rng.uniform(-1.0, 4.5)), float(rng.uniform(2.0, 14.0)),
+                          float(rng.normal(0.0, 0.05)))
+        agents = {}
+        for k in range(int(rng.integers(1, 7))):
+            v = 0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 14.0))
+            th_agent = th + float(rng.uniform(-0.15, 0.4))
+            r = CURVE_RADIUS + float(rng.uniform(-2.0, 5.5))
+            agents[f"a{k}"] = _on_curve(th_agent, r, v, float(rng.normal(0.0, 0.05)))
+        maintain, brake, boost = PREDICTION_PRIORS[int(rng.integers(len(PREDICTION_PRIORS)))]
+        branching = int(rng.integers(1, min(2 ** len(agents), 7) + 1))
+        schedule = treeplan.sampler.StageSchedule((0.0, *rng.choice([1.0, 1.5], size=2).tolist()), 0.1)
+        seed = int(rng.integers(2**31))
+        tree = treeplan.sampler.grow_tree(start, lane_map, schedule, cfg, seed)
+        predictor = treeplan.prediction.KinematicPredictor(
+            lane_map=lane_map, branching_factor=branching, maintain_prior=maintain, brake_prior=brake,
+            yield_boost=boost,
+        )
+        scene = treeplan.prediction.Scene(agents=agents, lane_map=lane_map)
+        ensemble = treeplan.prediction.predict_ensemble(predictor, scene, tree, schedule, branching, seed)
+        _feed(h, [(m.mode_id, m.ego_path) for m in ensemble.modes])
+        _feed(h, {mode_id: t.nodes for mode_id, t in ensemble.trees.items()})
+    return h.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cutin-seeds", type=int, default=100, help="episode seeds 0 .. N-1 (default 100)")
@@ -181,6 +233,7 @@ def main(argv=None):
     print(f"cut-in {cutin_digest(args.cutin_seeds)}")
     print(f"ec-verify {ec_verify_digest()}")
     print(f"sampler {sampler_digest()}")
+    print(f"prediction {prediction_digest()}")
     return 0
 
 

@@ -110,20 +110,6 @@ class ScenarioTree:
         walk((), 1.0)
         return out
 
-    def validate(self):
-        for node in self.nodes.values():
-            kids = self.children(node.path)
-            if kids:
-                total = sum(k.branch_probability for k in kids)
-                if abs(total - 1.0) > 1e-9:
-                    raise ValueError(f"children probabilities at {node.path} sum to {total}")
-                agents = set(node.agent_trajectories)
-                for k in kids:
-                    if not agents <= set(k.agent_trajectories):
-                        raise ValueError(f"agent disappears below {node.path}")
-        if abs(self.root.branch_probability - 1.0) > 1e-12:
-            raise ValueError("root probability must be 1")
-
 
 @dataclass(frozen=True)
 class ECMode:
@@ -195,10 +181,7 @@ def predict_scenario_tree(
                 hypotheses = predictor.predict_stage(history, ego_seg, stage, key, rollouts)
             except Exception as exc:  # noqa: BLE001 - context re-raise
                 raise PredictorFailure(stage, node.path, exc) from exc
-            if len(hypotheses) > branching_factor:
-                raise PredictorFailure(
-                    stage, node.path, f"{len(hypotheses)} modes exceed branching factor"
-                )
+            _check_hypotheses(hypotheses, branching_factor, node, stage)
             for j, (trajs, prob) in enumerate(hypotheses):
                 child = ScenarioNode(
                     path=node.path + (j,),
@@ -214,9 +197,23 @@ def predict_scenario_tree(
                     }
                     new_frontier.append((child, child_history))
         frontier = new_frontier
-    tree = ScenarioTree(nodes=nodes, schedule=schedule)
-    tree.validate()
-    return tree
+    return ScenarioTree(nodes=nodes, schedule=schedule)
+
+
+def _check_hypotheses(hypotheses, branching_factor: int, node: ScenarioNode, stage: int):
+    """Raise PredictorFailure unless the expansion of `node` gave 1 to
+    branching_factor hypotheses whose probabilities lie in [0, 1] and sum to
+    1 within 1e-9, each keeping every agent of `node`."""
+    if not 1 <= len(hypotheses) <= branching_factor:
+        raise PredictorFailure(stage, node.path, f"{len(hypotheses)} hypotheses, not 1 to {branching_factor}")
+    probs = [float(p) for _, p in hypotheses]
+    # a NaN fails the sum test, whatever min and max make of it
+    if not (abs(sum(probs) - 1.0) <= 1e-9 and min(probs) >= 0.0 and max(probs) <= 1.0):
+        raise PredictorFailure(stage, node.path, f"probabilities {probs} are not a distribution")
+    agents = node.agent_trajectories.keys()
+    for trajs, _ in hypotheses:
+        if not agents <= trajs.keys():
+            raise PredictorFailure(stage, node.path, f"agents {sorted(agents - trajs.keys())} missing")
 
 
 @dataclass(frozen=True)
@@ -337,93 +334,96 @@ class KinematicPredictor:
         exactly when their seed, stage, scenario path and ego prefix are; a
         stochastic predictor would derive its generator from it. The agents'
         motion does not depend on the ego, so each agent's (maintain, brake)
-        rollout is read from `rollouts`, keyed by the agent's state, the
-        braking deceleration and the stage's t0, duration and dt, and
-        computed only on a miss. The table belongs to one caller and one
-        predictor, so the lane map is not part of the key. The ego segment
-        sets the branch probabilities alone. Combinations are carried as
-        tuples and become dicts only when kept.
+        rollout pair is read from `rollouts`, keyed by the agent's state, the
+        braking deceleration and the stage's t0, duration and dt, and rolled
+        out in one call only on a miss. The table belongs to one caller and
+        one predictor, so the lane map is not part of the key. The ego
+        segment sets the branch probabilities alone; its (x, y) samples are
+        read once per call.
+
+        The 2^N joint probabilities form one flat list in agent order: in
+        index i, the bit of weight 2^(N-1-j) is agent j's hypothesis, 0 for
+        maintain and 1 for brake. Hypotheses come out by descending
+        probability, ties by descending index, which is the lexicographic
+        order of the labels ("brake" before "maintain"). Only the kept
+        indices become dicts. `predict_scenario_tree` checks the output.
         """
         del stage, rng_key  # deterministic model
         t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
+        ego_xy = [(s.x, s.y) for s in ego_segment.samples]
         aids = sorted(history)
-        per_agent = []
+        pairs = []
+        ps = [1.0]
         for aid in aids:
             state = history[aid].end
             key = (state, self.b_decel, t0, duration, dt)
-            if key not in rollouts:
-                rollouts[key] = tuple(
-                    _advance_agent(state, accel, duration, dt, t0, self.lane_map)
-                    for accel in (0.0, -self.b_decel)
-                )
-            maintain, brake = rollouts[key]
+            pair = rollouts.get(key)
+            if pair is None:
+                pair = rollouts[key] = _advance_agent(state, self.b_decel, duration, dt, t0, self.lane_map)
+            pairs.append(pair)
             p_brake = self.brake_prior
-            if _ego_crosses_in_front(ego_segment, state, self.tau_yield, YIELD_LATERAL):
+            if _ego_crosses_in_front(ego_xy, state, self.tau_yield):
                 p_brake *= self.yield_boost
             p_maintain = self.maintain_prior
             total = p_maintain + p_brake
-            per_agent.append(
-                [("maintain", maintain, p_maintain / total), ("brake", brake, p_brake / total)]
-            )
+            hp = (p_maintain / total, p_brake / total)
+            ps = [p * h for p in ps for h in hp]
 
-        joint = [((), 1.0, ())]
-        for hyps in per_agent:
-            joint = [
-                (trajs + (traj,), p * hp, names + (name,))
-                for trajs, p, names in joint
-                for name, traj, hp in hyps
-            ]
-        # deterministic: by descending probability, then lexicographic label
-        joint.sort(key=lambda item: (-item[1], item[2]))
-        joint = joint[: self.branching_factor]
-        total = sum(p for _, p, _ in joint)
-        return [(dict(zip(aids, trajs)), p / total) for trajs, p, _ in joint]
+        n = len(aids)
+        kept = sorted(range(2**n - 1, -1, -1), key=ps.__getitem__, reverse=True)[: self.branching_factor]
+        total = sum(ps[i] for i in kept)
+        shifts = range(n - 1, -1, -1)
+        return [
+            ({aid: pair[(i >> b) & 1] for aid, pair, b in zip(aids, pairs, shifts)}, ps[i] / total)
+            for i in kept
+        ]
 
 
 def _advance_agent(
     state: AgentState,
-    accel: float,
+    b_decel: float,
     duration: float,
     dt: float,
     t0: float,
     lane_map: LaneGraph | None,
-) -> Trajectory:
-    """Constant-acceleration advance along heading or the nearest centerline."""
+) -> tuple:
+    """(maintain, brake) constant-acceleration advances, the brake at -b_decel,
+    along the nearest centerline or, without a map, along the heading."""
     n = int(round(duration / dt))
     nearest = lane_map.nearest_lane(state.x, state.y) if lane_map else None
-    vs = np.maximum(0.0, state.v + accel * dt * np.arange(n + 1))
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (vs[:-1] + vs[1:]) * dt)])
+    # row 0 maintains speed, row 1 brakes; every operation below is elementwise
+    vs = np.maximum(0.0, state.v + np.array([[0.0], [-b_decel]]) * dt * np.arange(n + 1))
+    s = np.concatenate([np.zeros((2, 1)), np.cumsum(0.5 * (vs[:, :-1] + vs[:, 1:]) * dt, axis=1)], axis=1)
     if nearest is not None:
         lane, arc0, lat = nearest
-        px, py, heading = lane_points_at_batch(lane.centerline, arc0 + s)
-        xs = px - lat * np.sin(heading)
-        ys = py + lat * np.cos(heading)
-        samples = [state] + [
-            AgentState(xs[k], ys[k], vs[k], heading[k]) for k in range(1, n + 1)
-        ]
+        px, py, heading = lane_points_at_batch(lane.centerline, (arc0 + s).ravel())
+        xs = (px - lat * np.sin(heading)).reshape(2, -1).tolist()
+        ys = (py + lat * np.cos(heading)).reshape(2, -1).tolist()
+        psis = heading.reshape(2, -1).tolist()
     else:
-        samples = [state] + [
-            AgentState(
-                state.x + s[k] * math.cos(state.psi),
-                state.y + s[k] * math.sin(state.psi),
-                vs[k],
-                state.psi,
-            )
-            for k in range(1, n + 1)
-        ]
-    return Trajectory(t0=t0, dt=dt, samples=tuple(samples))
+        c, sn = math.cos(state.psi), math.sin(state.psi)
+        arcs = s.tolist()
+        xs = [[state.x + a * c for a in row] for row in arcs]
+        ys = [[state.y + a * sn for a in row] for row in arcs]
+        psis = [[state.psi] * (n + 1)] * 2
+    return tuple(
+        Trajectory(
+            t0=t0,
+            dt=dt,
+            samples=(state, *map(AgentState, x[1:], y[1:], v[1:], psi[1:])),
+        )
+        for x, y, v, psi in zip(xs, ys, vs.tolist(), psis)
+    )
 
 
-def _ego_crosses_in_front(
-    ego_segment: Trajectory, agent: AgentState, tau_yield: float, lateral_band: float
-) -> bool:
-    """True when some conditioned ego sample lies in the agent's near corridor."""
+def _ego_crosses_in_front(ego_xy: list, agent: AgentState, tau_yield: float) -> bool:
+    """True when some conditioned ego (x, y) sample lies in the agent's near corridor."""
     reach = max(agent.v, 1.0) * tau_yield
+    ax, ay = agent.x, agent.y
     c, s = math.cos(agent.psi), math.sin(agent.psi)
-    for sample in ego_segment.samples:
-        dx, dy = sample.x - agent.x, sample.y - agent.y
+    for x, y in ego_xy:
+        dx, dy = x - ax, y - ay
         lon = dx * c + dy * s
-        lat = -dx * s + dy * c
-        if 0.0 < lon <= reach and abs(lat) <= lateral_band:
+        if 0.0 < lon <= reach and abs(-dx * s + dy * c) <= YIELD_LATERAL:
             return True
     return False

@@ -6,10 +6,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeplan import (
     AgentState,
     KinematicPredictor,
+    Lane,
+    LaneGraph,
     Scene,
     StageSchedule,
     Trajectory,
@@ -25,10 +28,9 @@ from treeplan.prediction import (
     ScenarioNode,
     ScenarioTree,
     validate_causal_consistency,
-    _advance_agent,
 )
 from treeplan.sampler import TreeNode, TrajectoryTree
-from treeplan.world import concat_trajectories
+from treeplan.world import concat_trajectories, lane_points_at_batch
 from treeplan.verify import (
     FuturePeekingPredictor,
     make_shared_prefix_tree,
@@ -104,15 +106,18 @@ class TestModeSegments:
 
 class TestKinematicPredictor:
     def test_braking_hypothesis_kinematics(self):
-        """10 m/s braking at 4 m/s^2 over 2 s travels 12 m and ends at 2 m/s."""
-        traj = _advance_agent(AgentState(0, 0, 10, 0), -4.0, 2.0, 0.1, 0.0, None)
-        end = traj.end
-        assert end.x == pytest.approx(12.0, abs=1e-9)
-        assert end.v == pytest.approx(2.0, abs=1e-9)
+        """10 m/s braking at 4 m/s^2 over 2 s travels 12 m and ends at 2 m/s;
+        maintaining travels 20 m at 10 m/s."""
+        maintain, brake = prediction._advance_agent(AgentState(0, 0, 10, 0), 4.0, 2.0, 0.1, 0.0, None)
+        assert brake.end.x == pytest.approx(12.0, abs=1e-9)
+        assert brake.end.v == pytest.approx(2.0, abs=1e-9)
+        assert maintain.end.x == pytest.approx(20.0, abs=1e-9)
+        assert maintain.end.v == 10.0
+        assert len(maintain.samples) == len(brake.samples) == 21
 
     def test_braking_stops_at_zero(self):
-        traj = _advance_agent(AgentState(0, 0, 2.0, 0), -4.0, 2.0, 0.1, 0.0, None)
-        assert traj.end.v == 0.0
+        _, brake = prediction._advance_agent(AgentState(0, 0, 2.0, 0), 4.0, 2.0, 0.1, 0.0, None)
+        assert brake.end.v == 0.0
 
     @staticmethod
     def _hist(**agents):
@@ -164,7 +169,7 @@ class TestEnsemble:
         tree, ens = self._ensemble()
         assert len(ens.modes) == len(tree.leaves())
         for mode in ens.modes:
-            ens.trees[mode.mode_id].validate()
+            _validate_tree(ens.trees[mode.mode_id])
 
     def test_shared_prefix_trees_identical(self):
         """Modes sharing the stage-1 ego segment carry identical stage-1
@@ -210,7 +215,8 @@ class TestEnsemble:
 
 
 class TestRolloutTable:
-    """predict_ensemble rolls each agent hypothesis out once per call."""
+    """predict_ensemble rolls each agent state's (maintain, brake) pair out
+    once per call."""
 
     @staticmethod
     def _inputs(lane_map):
@@ -237,17 +243,17 @@ class TestRolloutTable:
         calls = []
         real = prediction._advance_agent
 
-        def counted(state, accel, duration, dt, t0, lane_map):
-            calls.append((state, accel, t0))
-            return real(state, accel, duration, dt, t0, lane_map)
+        def counted(state, b_decel, duration, dt, t0, lane_map):
+            calls.append((state, b_decel, t0))
+            return real(state, b_decel, duration, dt, t0, lane_map)
 
         monkeypatch.setattr(prediction, "_advance_agent", counted)
         return calls
 
     @staticmethod
     def _needed(ensemble, b_decel):
-        """(agent state, acceleration, stage start) of every rollout that an
-        expanded scenario node of some mode needs."""
+        """(agent state, braking deceleration, stage start) of every rollout
+        pair that an expanded scenario node of some mode needs."""
         need = set()
         for scen in ensemble.trees.values():
             for node in scen.nodes.values():
@@ -255,7 +261,7 @@ class TestRolloutTable:
                     continue
                 t0 = scen.schedule.stage_start(node.stage + 1)
                 for traj in node.agent_trajectories.values():
-                    need |= {(traj.end, 0.0, t0), (traj.end, -b_decel, t0)}
+                    need.add((traj.end, b_decel, t0))
         return need
 
     def test_each_rollout_runs_once_per_call(self, monkeypatch, two_lane_map):
@@ -268,7 +274,7 @@ class TestRolloutTable:
         stage_calls = sum(
             len(scen.nodes) - len(scen.leaf_paths_with_probability()) for scen in ensemble.trees.values()
         )
-        assert len(calls) < 2 * len(scene.agents) * stage_calls  # modes shared rollouts
+        assert len(calls) < len(scene.agents) * stage_calls  # modes shared rollouts
 
     def test_nothing_is_kept_across_calls(self, monkeypatch, two_lane_map):
         tree, scene = self._inputs(two_lane_map)
@@ -361,20 +367,95 @@ class TestExpansion:
                 assert history is not scen.root.agent_trajectories
 
 
+# ---------------------------------------------------------------------------
+# reference: the predictor as it was before the per-call rework, one rollout
+# per acceleration, the yield test on AgentState samples, and the joint
+# product carried as labelled tuples
+
+
+def _ref_advance_agent(state, accel, duration, dt, t0, lane_map):
+    """Constant-acceleration advance along heading or the nearest centerline."""
+    n = int(round(duration / dt))
+    nearest = lane_map.nearest_lane(state.x, state.y) if lane_map else None
+    vs = np.maximum(0.0, state.v + accel * dt * np.arange(n + 1))
+    s = np.concatenate([[0.0], np.cumsum(0.5 * (vs[:-1] + vs[1:]) * dt)])
+    if nearest is not None:
+        lane, arc0, lat = nearest
+        px, py, heading = lane_points_at_batch(lane.centerline, arc0 + s)
+        xs = px - lat * np.sin(heading)
+        ys = py + lat * np.cos(heading)
+        samples = [state] + [AgentState(xs[k], ys[k], vs[k], heading[k]) for k in range(1, n + 1)]
+    else:
+        samples = [state] + [
+            AgentState(
+                state.x + s[k] * math.cos(state.psi),
+                state.y + s[k] * math.sin(state.psi),
+                vs[k],
+                state.psi,
+            )
+            for k in range(1, n + 1)
+        ]
+    return Trajectory(t0=t0, dt=dt, samples=tuple(samples))
+
+
+def _ref_ego_crosses_in_front(ego_segment, agent, tau_yield, lateral_band):
+    """True when some conditioned ego sample lies in the agent's near corridor."""
+    reach = max(agent.v, 1.0) * tau_yield
+    c, s = math.cos(agent.psi), math.sin(agent.psi)
+    for sample in ego_segment.samples:
+        dx, dy = sample.x - agent.x, sample.y - agent.y
+        lon = dx * c + dy * s
+        lat = -dx * s + dy * c
+        if 0.0 < lon <= reach and abs(lat) <= lateral_band:
+            return True
+    return False
+
+
+def _ref_rollouts(pred, state, t0, duration, dt, rollouts):
+    key = (state, pred.b_decel, t0, duration, dt)
+    if key not in rollouts:
+        rollouts[key] = tuple(
+            _ref_advance_agent(state, accel, duration, dt, t0, pred.lane_map) for accel in (0.0, -pred.b_decel)
+        )
+    return rollouts[key]
+
+
+def _ref_predict_stage(pred, history, ego_segment, rollouts):
+    """Joint hypotheses for one stage, carried as labelled tuples."""
+    t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
+    aids = sorted(history)
+    per_agent = []
+    for aid in aids:
+        state = history[aid].end
+        maintain, brake = _ref_rollouts(pred, state, t0, duration, dt, rollouts)
+        p_brake = pred.brake_prior
+        if _ref_ego_crosses_in_front(ego_segment, state, pred.tau_yield, prediction.YIELD_LATERAL):
+            p_brake *= pred.yield_boost
+        p_maintain = pred.maintain_prior
+        total = p_maintain + p_brake
+        per_agent.append([("maintain", maintain, p_maintain / total), ("brake", brake, p_brake / total)])
+
+    joint = [((), 1.0, ())]
+    for hyps in per_agent:
+        joint = [
+            (trajs + (traj,), p * hp, names + (name,)) for trajs, p, names in joint for name, traj, hp in hyps
+        ]
+    # deterministic: by descending probability, then lexicographic label
+    joint.sort(key=lambda item: (-item[1], item[2]))
+    joint = joint[: pred.branching_factor]
+    total = sum(p for _, p, _ in joint)
+    return [(dict(zip(aids, trajs)), p / total) for trajs, p, _ in joint]
+
+
 def _all_dicts_predict_stage(pred, history, ego_segment, rollouts):
     """Reference: the joint product built as one merged dict per combination."""
     t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
     per_agent = []
     for aid in sorted(history):
         state = history[aid].end
-        key = (state, pred.b_decel, t0, duration, dt)
-        if key not in rollouts:
-            rollouts[key] = tuple(
-                _advance_agent(state, accel, duration, dt, t0, pred.lane_map) for accel in (0.0, -pred.b_decel)
-            )
-        maintain, brake = rollouts[key]
+        maintain, brake = _ref_rollouts(pred, state, t0, duration, dt, rollouts)
         p_brake = pred.brake_prior
-        if prediction._ego_crosses_in_front(ego_segment, state, pred.tau_yield, prediction.YIELD_LATERAL):
+        if _ref_ego_crosses_in_front(ego_segment, state, pred.tau_yield, prediction.YIELD_LATERAL):
             p_brake *= pred.yield_boost
         total = pred.maintain_prior + p_brake
         per_agent.append(
@@ -389,6 +470,23 @@ def _all_dicts_predict_stage(pred, history, ego_segment, rollouts):
     joint = joint[: pred.branching_factor]
     total = sum(p for _, p, _ in joint)
     return [(trajs, p / total) for trajs, p, _ in joint]
+
+
+def _validate_tree(tree):
+    """Reference: every expanded node's children sum to probability 1 and
+    keep all of its agents, and the root has probability 1."""
+    for node in tree.nodes.values():
+        kids = tree.children(node.path)
+        if kids:
+            total = sum(k.branch_probability for k in kids)
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"children probabilities at {node.path} sum to {total}")
+            agents = set(node.agent_trajectories)
+            for k in kids:
+                if not agents <= set(k.agent_trajectories):
+                    raise ValueError(f"agent disappears below {node.path}")
+    if abs(tree.root.branch_probability - 1.0) > 1e-12:
+        raise ValueError("root probability must be 1")
 
 
 class TestJointHypotheses:
@@ -406,7 +504,7 @@ class TestJointHypotheses:
         got = pred.predict_stage(history, ego_seg, 1, ("key",), {})
         want = _all_dicts_predict_stage(pred, history, ego_seg, {})
         lateral = prediction.YIELD_LATERAL
-        crossed = sum(prediction._ego_crosses_in_front(ego_seg, s, pred.tau_yield, lateral) for s in agents.values())
+        crossed = sum(_ref_ego_crosses_in_front(ego_seg, s, pred.tau_yield, lateral) for s in agents.values())
         assert crossed == 3
         assert len(got) == len(want) == min(branching, 2 ** len(agents))
         for (trajs, p), (ref_trajs, ref_p) in zip(got, want):
@@ -416,6 +514,88 @@ class TestJointHypotheses:
     def test_no_agents_one_empty_hypothesis(self):
         ego_seg = Trajectory(0.0, 0.1, (AgentState(0, 0, 5, 0),) * 21)
         assert KinematicPredictor().predict_stage({}, ego_seg, 1, ("key",), {}) == [({}, 1.0)]
+
+
+def _straight_map():
+    lanes = [
+        Lane(f"S{k}", np.array([[float(x), y] for x in range(-40, 121, 20)]), 12.0) for k, y in enumerate((0.0, 3.5))
+    ]
+    return LaneGraph(tuple(lanes))
+
+
+def _curved_map():
+    """Two lanes 3.5 m apart turning left through 135 degrees around (0, 40),
+    each a polyline of 18 segments."""
+    lanes = []
+    for k, r in enumerate((40.0, 43.5)):
+        pts = [(r * math.sin(th), 40.0 - r * math.cos(th)) for th in np.linspace(0.0, 0.75 * math.pi, 19).tolist()]
+        lanes.append(Lane(f"C{k}", np.array(pts), 12.0))
+    return LaneGraph(tuple(lanes))
+
+
+_MAPS = {"none": None, "straight": _straight_map(), "curved": _curved_map()}
+# (maintain, brake, yield boost); the first three make exact ties between joint hypotheses
+_PRIORS = [(0.5, 0.5, 2.0), (0.6, 0.3, 2.0), (0.5, 0.5, 1.0), (0.7, 0.3, 2.0), (0.2, 0.8, 3.0)]
+_HEADINGS = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([math.pi, -math.pi, math.nextafter(-math.pi, 0.0), math.nextafter(math.pi, 0.0), 0.0]),
+)
+_SPEEDS = st.one_of(st.just(0.0), st.floats(0.0, 15.0))
+_AGENT = st.builds(AgentState, st.floats(-30.0, 60.0), st.floats(-6.0, 40.0), _SPEEDS, _HEADINGS)
+
+
+def _hex_hypotheses(hypotheses):
+    """Every float of a hypothesis list as float.hex, in order."""
+    return [
+        (float.hex(p), [(aid, t.t0, t.dt, [tuple(map(float.hex, (s.x, s.y, s.v, s.psi))) for s in t.samples])
+                        for aid, t in trajs.items()])
+        for trajs, p in hypotheses
+    ]
+
+
+class TestMatchesReference:
+    @given(
+        agents=st.lists(_AGENT, min_size=0, max_size=6),
+        map_name=st.sampled_from(sorted(_MAPS)),
+        priors=st.one_of(
+            st.sampled_from(_PRIORS),
+            st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1.0, 3.0)),
+        ),
+        ego=st.tuples(_AGENT, st.sampled_from([1, 11, 21]), st.sampled_from([0.0, 1.0, 2.5])),
+        b_decel=st.sampled_from([4.0, 2.5, 9.0]),
+        branching=st.integers(1, 65),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_hypotheses_as_the_reference(self, agents, map_name, priors, ego, b_decel, branching, data):
+        """Equal probabilities by float.hex and equal trajectories, at every
+        branching factor from 1 to 2^N + 1."""
+        branching = min(branching, 2 ** len(agents) + 1)
+        maintain, brake, boost = priors
+        pred = KinematicPredictor(
+            lane_map=_MAPS[map_name], branching_factor=branching, maintain_prior=maintain,
+            brake_prior=brake, b_decel=b_decel, yield_boost=boost,
+        )
+        start, n, t0 = ego
+        # the ego moves at its speed along its heading; some agents may sit in its path
+        step_x, step_y = 0.1 * start.v * math.cos(start.psi), 0.1 * start.v * math.sin(start.psi)
+        ego_seg = Trajectory(t0, 0.1, tuple(
+            AgentState(start.x + k * step_x, start.y + k * step_y, start.v, start.psi) for k in range(n)
+        ))
+        if agents and data.draw(st.booleans()):
+            k = data.draw(st.integers(0, n - 1))
+            agents[0] = AgentState(ego_seg.samples[k].x - 2.0, ego_seg.samples[k].y, agents[0].v, 0.0)
+        history = {f"a{k}": Trajectory(0.0, 0.1, (state,)) for k, state in enumerate(agents)}
+        rollouts = {}
+        got = pred.predict_stage(history, ego_seg, 1, ("key",), rollouts)
+        want = _ref_predict_stage(pred, history, ego_seg, {})
+        assert len(got) == len(want) == min(branching, 2 ** len(agents))
+        assert _hex_hypotheses(got) == _hex_hypotheses(want)
+        for (trajs, p), (ref_trajs, ref_p) in zip(got, want):
+            assert float.hex(p) == float.hex(ref_p)
+            assert list(trajs.items()) == list(ref_trajs.items())
+        # a second call reads the rollouts from the table
+        assert _hex_hypotheses(pred.predict_stage(history, ego_seg, 1, ("key",), rollouts)) == _hex_hypotheses(want)
 
 
 class TestAdversarialPredictor:
@@ -442,6 +622,51 @@ class TestPredictorFailure:
         with pytest.raises(PredictorFailure) as err:
             predict_ensemble(Broken(branching_factor=2), scene, tree, schedule, 2, 0)
         assert err.value.stage == 1
+
+    # each turns the kinematic predictor's two hypotheses for agent a0 into a
+    # bad output; the second item is a piece of the expected reason
+    BAD_OUTPUTS = {
+        "no hypotheses": (lambda hyps: [], "0 hypotheses"),
+        "probabilities 1.5 and -0.5": (lambda hyps: [(hyps[0][0], 1.5), (hyps[1][0], -0.5)], "not a distribution"),
+        "NaN probabilities": (lambda hyps: [(trajs, math.nan) for trajs, _ in hyps], "not a distribution"),
+        "agent a0 missing": (lambda hyps: [({}, p) for _, p in hyps], "agents ['a0'] missing"),
+        "one NaN of two": (lambda hyps: [(hyps[0][0], 1.0), (hyps[1][0], math.nan)], "not a distribution"),
+        "sum 0.9": (lambda hyps: [(hyps[0][0], 0.6), (hyps[1][0], 0.3)], "not a distribution"),
+        "three of branching 2": (lambda hyps: hyps + hyps[:1], "3 hypotheses, not 1 to 2"),
+    }
+
+    @pytest.mark.parametrize("what", sorted(BAD_OUTPUTS))
+    def test_bad_output_raises_where_it_arrives(self, what):
+        """Bad hypotheses from the second expansion, at stage 2 below node (1,),
+        raise PredictorFailure naming that node."""
+        change, reason = self.BAD_OUTPUTS[what]
+
+        class Bad(KinematicPredictor):
+            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+                hyps = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+                return change(hyps) if rng_key[1:3] == (2, (1,)) else hyps
+
+        tree, schedule = make_shared_prefix_tree()
+        scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
+        with pytest.raises(PredictorFailure) as err:
+            predict_ensemble(Bad(branching_factor=2), scene, tree, schedule, 2, 0)
+        assert (err.value.stage, err.value.node_path) == (2, (1,))
+        assert reason in str(err.value.cause) and err.value.__cause__ is None
+
+    def test_good_output_passes_the_checks(self):
+        """Exact-sum outputs of the kinematic predictor, and an extra agent,
+        are accepted; each tree passes the reference validation."""
+        class Extra(KinematicPredictor):
+            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+                hyps = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+                return [({**trajs, "ghost": trajs["a0"]}, p) for trajs, p in hyps]
+
+        tree, schedule = make_shared_prefix_tree()
+        scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
+        ensemble = predict_ensemble(Extra(branching_factor=2), scene, tree, schedule, 2, 0)
+        for scen in ensemble.trees.values():
+            _validate_tree(scen)
+            assert all("ghost" in n.agent_trajectories for n in scen.nodes.values() if n.path)
 
 
 class TestStageIndex:
