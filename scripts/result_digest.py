@@ -2,7 +2,7 @@
 
     python3 scripts/result_digest.py --cutin-seeds 100
 
-Prints five sha256 digests, one per line:
+Prints six sha256 digests, one per line:
 
 - ``open-loop``: the nine seed-101 scenes of each of the ``dense-plan`` and
   ``deep-tree`` benchmark workloads, built by ``bench/workloads.py`` and
@@ -27,7 +27,15 @@ Prints five sha256 digests, one per line:
   the lanes (some standing still) near the ego, priors of which some make
   joint hypotheses tie exactly, and a branching factor of one to seven:
   modes and scenario nodes. No other line rolls agents out along a curved
-  lane or sorts tied joint probabilities.
+  lane or sorts tied joint probabilities;
+- ``world``: closed-loop episodes on a road that turns through a quarter
+  circle, seeds 0 .. 5 with tpp, ncr and ncg: four agents (a cut-in, a slow
+  leader, a fast follower and one far enough away to be despawned), the
+  spawner on, stage advances between replans, and a drivable area of two
+  polygons, one of them not convex; then 20 ``treeplan.sampler.grow_tree``
+  trees from ``default_rng(4)`` start states on that road. The shipped
+  cut-in episodes stay on straight lanes inside one rectangle and never
+  spawn, despawn or leave the road; here every kind of event occurs.
 
 Floats enter the digests as ``float.hex``, so a difference in the last bit
 changes the digest. The package and the workloads are imported from the
@@ -66,6 +74,10 @@ PREDICTION_SEED = 3
 PREDICTION_DRAWS = 30
 # (maintain, brake, yield boost); the first two make tied joint hypotheses
 PREDICTION_PRIORS = ((0.5, 0.5, 2.0), (0.6, 0.3, 2.0), (0.7, 0.3, 2.0))
+WORLD_RADIUS = 40.0  # m, of the right lane's turn
+WORLD_EPISODE_SEEDS = range(6)
+WORLD_TREE_SEED = 4
+WORLD_TREE_DRAWS = 20
 
 
 def _tokens(obj):
@@ -223,6 +235,91 @@ def prediction_digest() -> str:
     return h.hexdigest()
 
 
+def _turn_polyline(r: float) -> list:
+    """A road edge or lane centre r from the turn's centre (0, WORLD_RADIUS):
+    east along y = WORLD_RADIUS - r, a left quarter circle in 16 segments,
+    then north along x = r."""
+    c = WORLD_RADIUS
+    pts = [[-40.0, c - r], [-20.0, c - r]]
+    pts += [[r * math.sin(th), c - r * math.cos(th)] for th in np.linspace(0.0, 0.5 * math.pi, 17).tolist()]
+    return pts + [[r, c + y] for y in (20.0, 60.0, 120.0, 200.0)]
+
+
+def _agent(aid, x, y, v, psi, length, width, behavior=None) -> dict:
+    doc = {"id": aid, "state": {"x": x, "y": y, "v": v, "psi": psi}, "footprint": {"length": length, "width": width}}
+    return {**doc, "behavior": behavior} if behavior else doc
+
+
+def world_scenario():
+    """(scenario, planner config) of the ``world`` line: two lanes through
+    the turn, the road between edges 1.75 m outside them (its inner edge
+    makes the polygon non-convex) plus a rectangular pocket outside the
+    bend."""
+    c = WORLD_RADIUS
+    cut_in = {
+        "kind": "cut_in", "probability": 0.7, "trigger_time": 0.3, "target_lane": "L0",
+        "brake_probability": 0.7, "brake_decel": 6.0, "brake_duration": 2.0, "target_speed": 9.0,
+    }
+    doc = {
+        "name": "world",
+        "map": {
+            "lanes": [
+                {"id": "L0", "centerline": _turn_polyline(c), "speed_limit": 11.0},
+                {"id": "L1", "centerline": _turn_polyline(c - 3.5), "speed_limit": 9.0},
+            ],
+            "drivable_area": [
+                _turn_polyline(c + 1.75) + _turn_polyline(c - 5.25)[::-1],
+                [[20.0, -8.0], [34.0, -8.0], [34.0, 2.0], [20.0, 2.0]],
+            ],
+        },
+        "ego": {
+            "state": {"x": -10.0, "y": 0.0, "v": 10.0, "psi": 0.0},
+            "footprint": {"length": 4.6, "width": 1.8},
+            "goal": [c, 120.0],
+        },
+        "agents": [
+            _agent("cutter", -4.0, 3.5, 10.5, 0.0, 4.6, 1.8, cut_in),
+            _agent("lead", 18.0, 0.0, 5.0, 0.0, 4.9, 2.0, {"target_speed": 5.0}),
+            _agent("tail", -22.0, 0.0, 13.0, 0.0, 4.2, 1.7),
+            _agent("far", c, c + 150.0, 8.0, 0.5 * math.pi, 4.6, 1.8),
+        ],
+    }
+    cfg = {
+        "sampler": {
+            "accel_grid": [-5.0, -2.0, 0.0, 2.0], "yaw_rate_grid": [-0.15, 0.0, 0.15],
+            "speed_grid": [6.0, 11.0], "lateral_offsets": [0.0], "max_children": 2,
+        },
+        "schedule": {"num_stages": 2, "stage_duration": 1.5, "dt": 0.1},
+        "predictor": {"branching_factor": 2},
+        "sim": {
+            "total_duration": 7.0, "sim_dt": 0.1, "replan_period": 3.0,
+            "spawn": {"enabled": True, "rate": 60.0, "radius_min": 15.0, "radius_max": 30.0, "max_agents": 5},
+        },
+    }
+    return treeplan.config.parse_scenario(doc), treeplan.config.parse_planner_config(cfg)
+
+
+def world_digest() -> str:
+    scenario, cfg = world_scenario()
+    h = hashlib.sha256()
+    for seed in WORLD_EPISODE_SEEDS:
+        sim_cfg = dataclasses.replace(cfg.sim, seed=seed)
+        for planner in workloads.PLANNERS:
+            trace = treeplan.sim.run_closed_loop(scenario, planner, sim_cfg, cfg)
+            _feed(h, (trace.metadata, trace.steps))
+    rng = np.random.default_rng(WORLD_TREE_SEED)
+    for _ in range(WORLD_TREE_DRAWS):
+        th = float(rng.uniform(-0.2, 0.5 * math.pi))
+        r = WORLD_RADIUS + float(rng.uniform(-5.0, 1.5))
+        start = treeplan.world.AgentState(
+            r * math.sin(th), WORLD_RADIUS - r * math.cos(th), float(rng.uniform(0.0, 12.0)),
+            th + float(rng.normal(0.0, 0.1)),
+        )
+        tree = treeplan.sampler.grow_tree(start, scenario.lane_map, cfg.schedule, cfg.sampler, int(rng.integers(2**31)))
+        _feed(h, (tree.nodes, tree.truncated))
+    return h.hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--cutin-seeds", type=int, default=100, help="episode seeds 0 .. N-1 (default 100)")
@@ -234,6 +331,7 @@ def main(argv=None):
     print(f"ec-verify {ec_verify_digest()}")
     print(f"sampler {sampler_digest()}")
     print(f"prediction {prediction_digest()}")
+    print(f"world {world_digest()}")
     return 0
 
 

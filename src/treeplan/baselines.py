@@ -30,36 +30,34 @@ def path_expected_cost(
     tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
     """Expected cumulative cost of one fixed ego path over all branches."""
+    return _expected_from(scenario, costs, ego_path, 0, ())
 
-    def walk(stage: int, scen_path: tuple) -> float:
-        ego_id = ego_path[stage]
-        c = costs.get(ego_id, scen_path)
-        if stage == len(ego_path) - 1:
-            return c
-        total = c
-        for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
-            total += child.branch_probability * walk(stage + 1, child.path)
-        return total
 
-    return walk(0, ())
+def _expected_from(scenario, costs: CostTensor, ego_path: tuple, stage: int, scen_path: tuple) -> float:
+    c = costs.get(ego_path[stage], scen_path)
+    if stage == len(ego_path) - 1:
+        return c
+    total = c
+    for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
+        total += child.branch_probability * _expected_from(scenario, costs, ego_path, stage + 1, child.path)
+    return total
 
 
 def path_worst_case_cost(
     tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
     """Worst-case (max over branches) cumulative cost of one fixed ego path."""
+    return _worst_from(scenario, costs, ego_path, 0, ())
 
-    def walk(stage: int, scen_path: tuple) -> float:
-        ego_id = ego_path[stage]
-        c = costs.get(ego_id, scen_path)
-        if stage == len(ego_path) - 1:
-            return c
-        return c + max(
-            walk(stage + 1, child.path)
-            for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path)
-        )
 
-    return walk(0, ())
+def _worst_from(scenario, costs: CostTensor, ego_path: tuple, stage: int, scen_path: tuple) -> float:
+    c = costs.get(ego_path[stage], scen_path)
+    if stage == len(ego_path) - 1:
+        return c
+    return c + max(
+        _worst_from(scenario, costs, ego_path, stage + 1, child.path)
+        for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path)
+    )
 
 
 def plan_ncr(
@@ -92,17 +90,16 @@ def most_likely_scenario_path(scenario, ego_path: tuple) -> list:
     ego-conditioning, where each ego path carries its own tree).
     """
     best_path, best_prob = None, -1.0
-
-    def walk(stage: int, scen_path: tuple, prob: float, acc: list):
-        nonlocal best_path, best_prob
+    # depth first, children in order, so the first of tied paths wins
+    stack = [(0, (), 1.0, [()])]
+    while stack:
+        stage, scen_path, prob, acc = stack.pop()
         if stage == len(ego_path) - 1:
             if prob > best_prob + 1e-15:
-                best_path, best_prob = list(acc), prob
-            return
-        for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
-            walk(stage + 1, child.path, prob * child.branch_probability, acc + [child.path])
-
-    walk(0, (), 1.0, [()])
+                best_path, best_prob = acc, prob
+            continue
+        kids = scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path)
+        stack += [(stage + 1, c.path, prob * c.branch_probability, acc + [c.path]) for c in reversed(kids)]
     return best_path
 
 

@@ -63,7 +63,7 @@ def _lane_errors_batch(xs, ys, psis, lane_map: LaneGraph):
     best_lat = np.full(len(pts), np.inf)
     best_herr = np.zeros(len(pts))
     for lane in lane_map.lanes:
-        _, lat, heading = project_to_lane_batch(pts, lane.centerline)
+        _, lat, heading = project_to_lane_batch(pts, lane)
         better = np.abs(lat) < np.abs(best_lat)
         best_lat = np.where(better, lat, best_lat)
         herr = np.arctan2(np.sin(psis - heading), np.cos(psis - heading))

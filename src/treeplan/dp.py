@@ -95,20 +95,21 @@ def policy_expected_cost(
     policy: PolicyTable,
 ) -> float:
     """Exact expected cumulative cost of a deterministic policy."""
-    N = tree.max_stage
     root_scen = scenario.tree_for_ego_node(tree.root_id).stage_nodes(0)[0]
+    return _policy_cost_from(scenario, costs, policy, tree.max_stage, tree.root_id, root_scen.path, 0)
 
-    def walk(ego_id: int, scen_path: tuple, stage: int) -> float:
-        c = costs.get(ego_id, scen_path)
-        if stage == N:
-            return c
-        child_id = policy.pi[(ego_id, scen_path)]
-        total = c
-        for child in scenario.tree_for_ego_node(child_id).children(scen_path):
-            total += child.branch_probability * walk(child_id, child.path, stage + 1)
-        return total
 
-    return walk(tree.root_id, root_scen.path, 0)
+def _policy_cost_from(scenario, costs, policy, N: int, ego_id: int, scen_path: tuple, stage: int) -> float:
+    c = costs.get(ego_id, scen_path)
+    if stage == N:
+        return c
+    child_id = policy.pi[(ego_id, scen_path)]
+    total = c
+    for child in scenario.tree_for_ego_node(child_id).children(scen_path):
+        total += child.branch_probability * _policy_cost_from(
+            scenario, costs, policy, N, child_id, child.path, stage + 1
+        )
+    return total
 
 
 def count_policies(tree: TrajectoryTree, scenario) -> int:

@@ -98,16 +98,13 @@ class ScenarioTree:
     def leaf_paths_with_probability(self) -> list:
         """(path, probability) for every root-to-leaf path."""
         out = []
-
-        def walk(path, prob):
+        stack = [((), 1.0)]
+        while stack:
+            path, prob = stack.pop()
             kids = self.children(path)
             if not kids:
                 out.append((path, prob))
-                return
-            for child in kids:
-                walk(child.path, prob * child.branch_probability)
-
-        walk((), 1.0)
+            stack += [(c.path, prob * c.branch_probability) for c in reversed(kids)]
         return out
 
 
@@ -123,22 +120,14 @@ class ECMode:
 def flatten_ec_modes(tree: TrajectoryTree) -> list:
     """One conditioning mode per root-to-leaf path, in depth-first order."""
     modes = []
-
-    def walk(node_id, ids):
-        kids = tree.children(node_id)
+    stack = [(tree.root_id,)]
+    while stack:
+        ids = stack.pop()
+        kids = tree.children(ids[-1])
         if not kids:
-            modes.append(
-                ECMode(
-                    mode_id=len(modes),
-                    ego_path=tuple(ids),
-                    ego_segments=tuple(tree.node(i).segment for i in ids),
-                )
-            )
-            return
-        for child in kids:
-            walk(child, ids + [child])
-
-    walk(tree.root_id, [tree.root_id])
+            segments = tuple(tree.node(i).segment for i in ids)
+            modes.append(ECMode(mode_id=len(modes), ego_path=ids, ego_segments=segments))
+        stack += [ids + (child,) for child in reversed(kids)]
     return modes
 
 
@@ -396,7 +385,7 @@ def _advance_agent(
     s = np.concatenate([np.zeros((2, 1)), np.cumsum(0.5 * (vs[:, :-1] + vs[:, 1:]) * dt, axis=1)], axis=1)
     if nearest is not None:
         lane, arc0, lat = nearest
-        px, py, heading = lane_points_at_batch(lane.centerline, (arc0 + s).ravel())
+        px, py, heading = lane_points_at_batch(lane, (arc0 + s).ravel())
         xs = (px - lat * np.sin(heading)).reshape(2, -1).tolist()
         ys = (py + lat * np.cos(heading)).reshape(2, -1).tolist()
         psis = heading.reshape(2, -1).tolist()

@@ -230,7 +230,7 @@ def sample_terminals(
     # a lane target needs a target speed and a lateral offset
     if lane_map is not None and config.speed_grid and config.lateral_offsets:
         for lane in lane_map.lanes:
-            arc, lat, _ = project_to_lane((current.x, current.y), lane.centerline)
+            arc, lat, _ = project_to_lane((current.x, current.y), lane)
             if abs(lat) > LANE_SEARCH_RADIUS:
                 continue
             for v_t in config.speed_grid:
@@ -238,7 +238,7 @@ def sample_terminals(
                 advance = 0.5 * (current.v + v_t) * stage_duration
                 if advance < 0.5:
                     continue
-                px, py, heading = lane_point_at(lane.centerline, arc + advance)
+                px, py, heading = lane_point_at(lane, arc + advance)
                 nx, ny = -math.sin(heading), math.cos(heading)
                 for off in config.lateral_offsets:
                     candidates.append(

@@ -72,9 +72,9 @@ def agent_policy_step(
             return UnicycleInput(0.0, 0.0)
         lane, arc, _ = nearest
     else:
-        arc, _, _ = project_to_lane((agent.x, agent.y), lane.centerline)
+        arc, _, _ = project_to_lane((agent.x, agent.y), lane)
     lookahead = max(3.0, 0.8 * agent.v)
-    lx, ly, _ = lane_point_at(lane.centerline, arc + lookahead)
+    lx, ly, _ = lane_point_at(lane, arc + lookahead)
     alpha = wrap_angle(math.atan2(ly - agent.y, lx - agent.x) - agent.psi)
     omega = 2.0 * agent.v * math.sin(alpha) / lookahead if agent.v > 0.1 else alpha
 
@@ -119,7 +119,7 @@ class _AgentController:
                 self.phase = "cutting"
             if self.phase == "cutting":
                 lane = lane_map.lane_by_id(b["target_lane"])
-                _, lat, _ = project_to_lane((state.x, state.y), lane.centerline)
+                _, lat, _ = project_to_lane((state.x, state.y), lane)
                 if abs(lat) < 0.3:
                     if self.will_brake:
                         self.phase = "braking"
@@ -383,10 +383,10 @@ def _try_spawn(rng, ego, ego_fp, agents, footprints, lane_map, spawn_cfg, count)
         if not lanes:
             return None
         lane = lanes[int(rng.integers(len(lanes)))]
-        arc_ego, _, _ = project_to_lane((ego.x, ego.y), lane.centerline)
+        arc_ego, _, _ = project_to_lane((ego.x, ego.y), lane)
         radius = spawn_cfg.radius_min + rng.random() * (spawn_cfg.radius_max - spawn_cfg.radius_min)
         sign = 1.0 if rng.random() < 0.5 else -1.0
-        px, py, heading = lane_point_at(lane.centerline, arc_ego + sign * radius)
+        px, py, heading = lane_point_at(lane, arc_ego + sign * radius)
         speed = lane.speed_limit * (0.5 + 0.5 * rng.random())
         state = AgentState(px, py, speed, heading)
         if is_offroad(state, fp, lane_map):

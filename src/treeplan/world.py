@@ -6,7 +6,8 @@ All types are immutable values; all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,26 +148,63 @@ class Footprint:
 
 @dataclass(frozen=True)
 class Lane:
+    """A lane's centre line with its arc table, built once.
+
+    centerline is a read-only (n, 2) copy of the polyline given. segments
+    holds the n - 1 segment vectors, lengths their lengths and arc the
+    cumulative arc length at each vertex, all read-only arrays; headings is
+    each segment's heading. The lane queries below read these tables.
+    """
+
     id: str
     centerline: np.ndarray  # (n, 2), n >= 2
     speed_limit: float
     successors: tuple = ()
+    segments: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    arc: np.ndarray = field(init=False, repr=False, compare=False)
+    headings: tuple = field(init=False, repr=False, compare=False)
+    # the squared lengths the projection divides by, and the arc table as
+    # floats for scalar lookups: arc per vertex, (x, y, dx, dy, length,
+    # heading) per segment
+    _len2: np.ndarray = field(init=False, repr=False, compare=False)
+    _arc_floats: tuple = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cl = np.asarray(self.centerline, dtype=float)
+        cl = np.array(self.centerline, dtype=float)
         if cl.ndim != 2 or cl.shape[0] < 2 or cl.shape[1] != 2:
             raise ValueError("centerline must be an (n>=2, 2) array")
         seg = np.diff(cl, axis=0)
-        if not np.all(np.hypot(seg[:, 0], seg[:, 1]) > 0):
+        seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        if not np.all(seg_len > 0):
             raise ValueError("centerline must have strictly increasing arc length")
-        object.__setattr__(self, "centerline", cl)
-        object.__setattr__(self, "successors", tuple(self.successors))
+        cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+        len2 = np.maximum(seg_len**2, 1e-300)
+        for a in (cl, seg, seg_len, cum, len2):
+            a.flags.writeable = False
+        headings = tuple(math.atan2(dy, dx) for dx, dy in seg.tolist())
+        for name, value in (
+            ("centerline", cl),
+            ("successors", tuple(self.successors)),
+            ("segments", seg),
+            ("lengths", seg_len),
+            ("arc", cum),
+            ("headings", headings),
+            ("_len2", len2),
+            ("_arc_floats", tuple(cum.tolist())),
+            ("_rows", tuple(zip(*cl[:-1].T.tolist(), *seg.T.tolist(), seg_len.tolist(), headings))),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class LaneGraph:
+    """Lanes and the drivable area, a union of polygons each stored as a
+    tuple of (x, y) float pairs."""
+
     lanes: tuple = ()
-    drivable_area: tuple = ()  # tuple of (n, 2) polygon vertex arrays
+    drivable_area: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "lanes", tuple(self.lanes))
@@ -174,7 +212,7 @@ class LaneGraph:
         for p in polys:
             if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] != 2:
                 raise ValueError("drivable-area polygon needs >= 3 vertices")
-        object.__setattr__(self, "drivable_area", polys)
+        object.__setattr__(self, "drivable_area", tuple(tuple(map(tuple, p.tolist())) for p in polys))
 
     def lane_by_id(self, lane_id: str) -> Lane:
         for lane in self.lanes:
@@ -187,7 +225,7 @@ class LaneGraph:
         at (x, y), from project_to_lane; None when there are no lanes."""
         best, best_d = None, math.inf
         for lane in self.lanes:
-            arc, lat, _ = project_to_lane((x, y), lane.centerline)
+            arc, lat, _ = project_to_lane((x, y), lane)
             if abs(lat) < best_d:
                 best, best_d = (lane, arc, lat), abs(lat)
         return best
@@ -297,20 +335,13 @@ def integrate_unicycle_grid(
 # oriented-box geometry
 
 
-def footprint_corners(x, y, psi, fp: Footprint) -> np.ndarray:
-    """Corners of the oriented footprint rectangle, shape (..., 4, 2).
-
-    Accepts scalars or broadcastable arrays for x, y, psi.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    psi = np.asarray(psi, dtype=float)
+def footprint_corners(x: float, y: float, psi: float, fp: Footprint) -> list:
+    """The four (x, y) corners of the oriented footprint rectangle, front
+    left first, clockwise. The heading's cos and sin are numpy's, as in
+    obb_clearance; math's can differ in the last bit."""
+    c, s = float(np.cos(psi)), float(np.sin(psi))
     hl, hw = fp.length / 2.0, fp.width / 2.0
-    local = np.array([[hl, hw], [hl, -hw], [-hl, -hw], [-hl, hw]])
-    c, s = np.cos(psi), np.sin(psi)
-    gx = x[..., None] + local[:, 0] * c[..., None] - local[:, 1] * s[..., None]
-    gy = y[..., None] + local[:, 0] * s[..., None] + local[:, 1] * c[..., None]
-    return np.stack([gx, gy], axis=-1)
+    return [(x + lx * c - ly * s, y + lx * s + ly * c) for lx, ly in ((hl, hw), (hl, -hw), (-hl, -hw), (-hl, hw))]
 
 
 def _corners_in_frame(cu, cv, c, s, fp: Footprint):
@@ -368,18 +399,24 @@ def obb_clearance(
 def check_collision(
     ego: AgentState, ego_fp: Footprint, other: AgentState, other_fp: Footprint
 ) -> bool:
-    """True iff the two oriented footprint rectangles overlap (touching counts)."""
+    """True iff the two oriented footprint rectangles overlap (touching counts).
+
+    Boxes whose centres lie farther apart than the sum of their half-diagonals
+    cannot touch; with 1e-6 m to spare for rounding they are rejected here,
+    and obb_clearance decides every other pair.
+    """
+    reach = 0.5 * (math.hypot(ego_fp.length, ego_fp.width) + math.hypot(other_fp.length, other_fp.width))
+    if math.hypot(other.x - ego.x, other.y - ego.y) > reach + 1e-6:
+        return False
     d = obb_clearance(ego.x, ego.y, ego.psi, ego_fp, other.x, other.y, other.psi, other_fp)
     return bool(d == 0.0)
 
 
-def point_in_polygon(px: float, py: float, poly: np.ndarray) -> bool:
-    """Ray-casting point-in-polygon test; boundary points count as inside."""
-    n = len(poly)
+def point_in_polygon(px: float, py: float, poly: tuple) -> bool:
+    """Ray-casting point-in-polygon test on a tuple of (x, y) float pairs;
+    boundary points count as inside."""
     inside = False
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
+    for (x1, y1), (x2, y2) in zip(poly, (*poly[1:], poly[0])):
         # on-segment check: boundary is inside
         cross = (px - x1) * (y2 - y1) - (py - y1) * (x2 - x1)
         if abs(cross) < 1e-12:
@@ -398,58 +435,48 @@ def is_offroad(state: AgentState, fp: Footprint, lane_map: LaneGraph) -> bool:
     """True iff any footprint corner is outside the drivable-area union."""
     if not lane_map.drivable_area:
         raise ValueError("map has no drivable area")
-    corners = footprint_corners(state.x, state.y, state.psi, fp)
-    for cx, cy in corners:
+    for cx, cy in footprint_corners(state.x, state.y, state.psi, fp):
         if not any(point_in_polygon(cx, cy, poly) for poly in lane_map.drivable_area):
             return True
     return False
 
 
-def project_to_lane(pos, centerline: np.ndarray):
-    """Nearest-point polyline projection.
+def project_to_lane(pos, lane: Lane):
+    """Nearest-point projection onto the lane's centre line.
 
     Returns (arc_length, lateral_offset, lane_heading); lateral offset is
     signed, positive to the left of the lane direction.
     """
     p = np.asarray(pos, dtype=float)
-    cl = np.asarray(centerline, dtype=float)
-    a, b = cl[:-1], cl[1:]
-    d = b - a
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    len2 = np.maximum(seg_len**2, 1e-300)
-    t = np.clip(((p - a) * d).sum(axis=1) / len2, 0.0, 1.0)
+    a, d = lane.centerline[:-1], lane.segments
+    t = np.clip(((p - a) * d).sum(axis=1) / lane._len2, 0.0, 1.0)
     closest = a + t[:, None] * d
     dist = np.hypot(*(p - closest).T)
     i = int(np.argmin(dist))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    arc = float(cum[i] + t[i] * seg_len[i])
-    heading = math.atan2(d[i, 1], d[i, 0])
-    rel = p - closest[i]
-    lateral = float(-math.sin(heading) * rel[0] + math.cos(heading) * rel[1])
+    t = float(t[i])
+    x0, y0, dx, dy, seg_len, heading = lane._rows[i]
+    arc = lane._arc_floats[i] + t * seg_len
+    rel_x, rel_y = float(p[0]) - (x0 + t * dx), float(p[1]) - (y0 + t * dy)
+    lateral = -math.sin(heading) * rel_x + math.cos(heading) * rel_y
     return arc, lateral, heading
 
 
-def project_to_lane_batch(points: np.ndarray, centerline: np.ndarray):
+def project_to_lane_batch(points: np.ndarray, lane: Lane):
     """Vectorized nearest-point projection for an (n, 2) array of points.
 
     Returns (arc, lateral, heading) arrays of length n with the same
     conventions as project_to_lane.
     """
     pts = np.asarray(points, dtype=float)
-    cl = np.asarray(centerline, dtype=float)
-    a, b = cl[:-1], cl[1:]
-    d = b - a
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    len2 = np.maximum(seg_len**2, 1e-300)
+    a, d = lane.centerline[:-1], lane.segments
     rel = pts[:, None, :] - a[None, :, :]  # (n, m, 2)
-    t = np.clip((rel * d).sum(axis=2) / len2, 0.0, 1.0)  # (n, m)
+    t = np.clip((rel * d).sum(axis=2) / lane._len2, 0.0, 1.0)  # (n, m)
     closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
     diff = pts[:, None, :] - closest
     dist2 = (diff**2).sum(axis=2)
     i = np.argmin(dist2, axis=1)  # (n,)
     rows = np.arange(len(pts))
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    arc = cum[i] + t[rows, i] * seg_len[i]
+    arc = lane.arc[i] + t[rows, i] * lane.lengths[i]
     heading = np.arctan2(d[i, 1], d[i, 0])
     best = diff[rows, i]
     lateral = -np.sin(heading) * best[:, 0] + np.cos(heading) * best[:, 1]
@@ -476,31 +503,23 @@ def concat_trajectories(parts) -> Trajectory:
     return Trajectory(t0=first.t0, dt=first.dt, samples=tuple(samples))
 
 
-def lane_point_at(centerline: np.ndarray, arc: float):
-    """Point and heading on the polyline at the given (clamped) arc length."""
-    cl = np.asarray(centerline, dtype=float)
-    d = np.diff(cl, axis=0)
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    arc = min(max(arc, 0.0), float(cum[-1]))
-    i = int(np.searchsorted(cum, arc, side="right") - 1)
-    i = min(i, len(seg_len) - 1)
-    frac = (arc - cum[i]) / seg_len[i]
-    pt = cl[i] + frac * d[i]
-    heading = math.atan2(d[i, 1], d[i, 0])
-    return float(pt[0]), float(pt[1]), heading
+def lane_point_at(lane: Lane, arc: float):
+    """Point and heading on the centre line at the given (clamped) arc length."""
+    cum = lane._arc_floats
+    arc = min(max(arc, 0.0), cum[-1])
+    i = min(bisect_right(cum, arc) - 1, len(cum) - 2)
+    x0, y0, dx, dy, seg_len, heading = lane._rows[i]
+    frac = (arc - cum[i]) / seg_len
+    return x0 + frac * dx, y0 + frac * dy, heading
 
 
-def lane_points_at_batch(centerline: np.ndarray, arcs: np.ndarray):
+def lane_points_at_batch(lane: Lane, arcs: np.ndarray):
     """Vectorized lane_point_at: (x, y, heading) arrays for an arc array."""
-    cl = np.asarray(centerline, dtype=float)
-    d = np.diff(cl, axis=0)
-    seg_len = np.hypot(d[:, 0], d[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    cum, d = lane.arc, lane.segments
     arcs = np.clip(np.asarray(arcs, dtype=float), 0.0, float(cum[-1]))
     i = np.searchsorted(cum, arcs, side="right") - 1
-    i = np.clip(i, 0, len(seg_len) - 1)
-    frac = (arcs - cum[i]) / seg_len[i]
-    pts = cl[i] + frac[:, None] * d[i]
+    i = np.clip(i, 0, len(d) - 1)
+    frac = (arcs - cum[i]) / lane.lengths[i]
+    pts = lane.centerline[i] + frac[:, None] * d[i]
     heading = np.arctan2(d[i, 1], d[i, 0])
     return pts[:, 0], pts[:, 1], heading

@@ -57,7 +57,7 @@ def _lane_errors(x, y, psi, lane_map):
     """Scalar reference for _lane_errors_batch."""
     best = (math.inf, 0.0)
     for lane in lane_map.lanes:
-        _, lat, heading = project_to_lane((x, y), lane.centerline)
+        _, lat, heading = project_to_lane((x, y), lane)
         if abs(lat) < abs(best[0]):
             best = (lat, wrap_angle(psi - heading))
     return best

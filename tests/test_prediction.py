@@ -381,7 +381,7 @@ def _ref_advance_agent(state, accel, duration, dt, t0, lane_map):
     s = np.concatenate([[0.0], np.cumsum(0.5 * (vs[:-1] + vs[1:]) * dt)])
     if nearest is not None:
         lane, arc0, lat = nearest
-        px, py, heading = lane_points_at_batch(lane.centerline, arc0 + s)
+        px, py, heading = lane_points_at_batch(lane, arc0 + s)
         xs = px - lat * np.sin(heading)
         ys = py + lat * np.cos(heading)
         samples = [state] + [AgentState(xs[k], ys[k], vs[k], heading[k]) for k in range(1, n + 1)]

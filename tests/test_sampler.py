@@ -192,7 +192,7 @@ class TestSampleTerminals:
         lane_targets = [t for t in terms if abs(t.y) <= band + 1e-6]
         assert terms
         for t in lane_targets:
-            _, lat, _ = project_to_lane((t.x, t.y), lane.centerline)
+            _, lat, _ = project_to_lane((t.x, t.y), lane)
             assert abs(lat) <= band + 1e-6
 
     @pytest.mark.parametrize("empty", ["speed_grid", "lateral_offsets"])
@@ -202,9 +202,9 @@ class TestSampleTerminals:
         calls = []
         real = sampler.project_to_lane
 
-        def counted(point, centerline):
+        def counted(point, lane):
             calls.append(point)
-            return real(point, centerline)
+            return real(point, lane)
 
         monkeypatch.setattr(sampler, "project_to_lane", counted)
         start = AgentState(10.0, 0.5, 8.0, 0.0)

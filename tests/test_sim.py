@@ -189,18 +189,26 @@ class TestClosedLoop:
         assert json.dumps(a.steps) == json.dumps(b.steps)
 
     def test_collision_events_match_recomputation(self, two_lane_map):
-        """Stored collision events equal a recomputation from raw states."""
-        from treeplan import Footprint, check_collision
+        """Stored collision events equal the exact box test on the raw states."""
+        from treeplan import Footprint
+        from treeplan.world import obb_clearance
 
         fp = Footprint(4.6, 1.8)
-        trace = self._run(agents=[_lead_agent(x=12.0, v=2.0)], seed=0)
-        for step in trace.steps:
+        steps = [
+            step
+            for lead in (_lead_agent(x=12.0, v=2.0), _lead_agent(x=5.5, v=0.0))
+            for step in self._run(agents=[lead], seed=0).steps
+        ]
+        hits = 0
+        for step in steps:
             ego = AgentState(**step["ego"])
             recomputed = sorted(
                 aid for aid, sd in step["agents"].items()
-                if check_collision(ego, fp, AgentState(**sd), fp)
+                if obb_clearance(ego.x, ego.y, ego.psi, fp, sd["x"], sd["y"], sd["psi"], fp) == 0.0
             )
             assert recomputed == sorted(step["events"]["collision"])
+            hits += len(recomputed)
+        assert hits
 
     def test_replan_period_respected(self):
         trace = self._run(agents=[_lead_agent()])
@@ -301,3 +309,55 @@ class TestStageAdvance:
         path = seen["paths"][0]
         self._assert_follows(trace, seen["trees"][0].node(path[2]).segment)
         assert {s["plan_id"] for s in trace.steps} == {trace.steps[0]["plan_id"]}
+
+
+class TestNoReferenceCycles:
+    """A plan and an episode leave no garbage for the cycle collector: each
+    result is freed as soon as its last reference goes."""
+
+    @staticmethod
+    def _plan_cycle():
+        from treeplan.baselines import plan_ncg, plan_ncr
+        from treeplan.costs import CostWeights, build_cost_tensor_ec
+        from treeplan.dp import policy_expected_cost, solve_policy_ec
+        from treeplan.prediction import KinematicPredictor, Scene, predict_ensemble
+        from treeplan.sampler import grow_tree
+
+        pc = PlannerConfig()
+        scenario = parse_scenario(_scenario_doc([_lead_agent(x=20.0, y=3.5)]))
+        lane_map = scenario.lane_map
+        agents = {a.id: a.state for a in scenario.agents}
+        footprints = {a.id: a.footprint for a in scenario.agents}
+        tree = grow_tree(scenario.ego_state, lane_map, pc.schedule, pc.sampler, 0)
+        predictor = KinematicPredictor(lane_map=lane_map, branching_factor=2)
+        scene = Scene(agents=agents, footprints=footprints, lane_map=lane_map)
+        ensemble = predict_ensemble(predictor, scene, tree, pc.schedule, 2, 0)
+        weights = CostWeights(goal=scenario.goal)
+        costs = build_cost_tensor_ec(tree, ensemble, lane_map, weights, scenario.ego_footprint, footprints)
+        _, policy = solve_policy_ec(tree, ensemble, costs)
+        policy_expected_cost(tree, ensemble, costs, policy)
+        plan_ncr(tree, ensemble, costs)
+        plan_ncr(tree, ensemble, costs, worst_case=True)
+        plan_ncg(tree, ensemble, costs)
+        for t in ensemble.trees.values():
+            t.leaf_paths_with_probability()
+
+    @staticmethod
+    def _episodes():
+        scenario = parse_scenario(_scenario_doc([_lead_agent(x=20.0, y=3.5)]))
+        for planner in ("tpp", "ncr", "ncg"):
+            run_closed_loop(scenario, planner, SimConfig(total_duration=2.0, seed=1))
+
+    @pytest.mark.parametrize("work", ["_plan_cycle", "_episodes"])
+    def test_nothing_left_for_the_collector(self, work):
+        import gc
+
+        run = getattr(self, work)
+        run()  # warm: first calls may fill module-level caches
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

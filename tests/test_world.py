@@ -231,18 +231,25 @@ class TestOffroad:
         assert is_offroad(AgentState(50.0, 1.1, 1, math.pi / 2), fp, band)
 
     def test_point_in_polygon_boundary_inside(self):
-        poly = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+        poly = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
         assert point_in_polygon(1.0, 0.0, poly)
         assert point_in_polygon(1.0, 1.0, poly)
         assert not point_in_polygon(3.0, 1.0, poly)
+
+    def test_polygons_are_stored_as_float_pairs(self, band):
+        area = np.array([[0, -2], [100, -2], [100, 2], [0, 2]])
+        lane_map = LaneGraph(band.lanes, (area,))
+        area[0, 0] = 50
+        assert lane_map.drivable_area == (((0.0, -2.0), (100.0, -2.0), (100.0, 2.0), (0.0, 2.0)),)
+        assert all(type(v) is float for poly in lane_map.drivable_area for pt in poly for v in pt)
 
 
 class TestLaneProjection:
     def test_l_shape_matches_dense_sampling(self):
         """Projection near the corner of an L agrees with brute force."""
-        cl = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        lane = Lane("L", np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]), 10.0)
         p = (11.0, 1.0)
-        arc, lat, heading = project_to_lane(p, cl)
+        arc, lat, heading = project_to_lane(p, lane)
 
         # dense brute force over the polyline
         ts = np.linspace(0, 1, 20001)
@@ -253,30 +260,58 @@ class TestLaneProjection:
         assert abs(lat) == pytest.approx(d.min(), abs=1e-3)
 
     def test_signed_lateral(self):
-        cl = np.array([[0.0, 0.0], [10.0, 0.0]])
-        _, lat_left, _ = project_to_lane((5.0, 1.0), cl)
-        _, lat_right, _ = project_to_lane((5.0, -1.0), cl)
+        lane = Lane("L", np.array([[0.0, 0.0], [10.0, 0.0]]), 10.0)
+        _, lat_left, _ = project_to_lane((5.0, 1.0), lane)
+        _, lat_right, _ = project_to_lane((5.0, -1.0), lane)
         assert lat_left == pytest.approx(1.0)
         assert lat_right == pytest.approx(-1.0)
 
     def test_batch_matches_scalar(self):
-        cl = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [20.0, 12.0]])
+        lane = Lane("L", np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [20.0, 12.0]]), 10.0)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-2, 22, size=(40, 2))
-        arcs, lats, heads = project_to_lane_batch(pts, cl)
+        arcs, lats, heads = project_to_lane_batch(pts, lane)
         for k, p in enumerate(pts):
-            a, l, h = project_to_lane(p, cl)
+            a, l, h = project_to_lane(p, lane)
             assert a == pytest.approx(float(arcs[k]), abs=1e-12)
             assert l == pytest.approx(float(lats[k]), abs=1e-12)
             assert h == pytest.approx(float(heads[k]), abs=1e-12)
 
     def test_lane_point_batch_matches_scalar(self):
-        cl = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        lane = Lane("L", np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]]), 10.0)
         arcs = np.array([-1.0, 0.0, 3.0, 10.0, 15.0, 25.0])
-        xs, ys, hs = lane_points_at_batch(cl, arcs)
+        xs, ys, hs = lane_points_at_batch(lane, arcs)
         for k, arc in enumerate(arcs):
-            x, y, h = lane_point_at(cl, float(arc))
+            x, y, h = lane_point_at(lane, float(arc))
             assert (x, y, h) == (pytest.approx(float(xs[k])), pytest.approx(float(ys[k])), pytest.approx(float(hs[k])))
+
+
+class TestLaneTable:
+    def test_table_matches_the_centre_line(self):
+        lane = Lane("L", [[0.0, 0.0], [3.0, 4.0], [3.0, 10.0]], 10.0)
+        np.testing.assert_array_equal(lane.segments, [[3.0, 4.0], [0.0, 6.0]])
+        np.testing.assert_array_equal(lane.lengths, [5.0, 6.0])
+        np.testing.assert_array_equal(lane.arc, [0.0, 5.0, 11.0])
+        assert lane.headings == (math.atan2(4.0, 3.0), math.pi / 2)
+
+    def test_centre_line_is_a_read_only_copy(self):
+        given = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        lane = Lane("L", given, 10.0)
+        with pytest.raises(ValueError):
+            lane.centerline[1, 0] = 5.0
+        for table in (lane.segments, lane.lengths, lane.arc):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        np.testing.assert_array_equal(given, [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+        given[1, 0] = 5.0
+        assert lane.centerline[1, 0] == 10.0
+        assert lane_point_at(lane, 15.0) == (10.0, 5.0, math.pi / 2)
+
+    def test_rejects_degenerate_centre_lines(self):
+        with pytest.raises(ValueError):
+            Lane("L", [[0.0, 0.0]], 10.0)
+        with pytest.raises(ValueError):
+            Lane("L", [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], 10.0)
 
 
 class TestNearestLane:
@@ -285,7 +320,7 @@ class TestNearestLane:
         l1 = Lane("L1", np.array([[0.0, 3.5], [100.0, 3.5]]), 12.0)
         lane, arc, lat = LaneGraph((l0, l1)).nearest_lane(20.0, 2.5)
         assert lane is l1
-        assert (arc, lat) == project_to_lane((20.0, 2.5), l1.centerline)[:2]
+        assert (arc, lat) == project_to_lane((20.0, 2.5), l1)[:2]
 
     def test_none_without_lanes(self):
         assert LaneGraph().nearest_lane(0.0, 0.0) is None
@@ -468,3 +503,308 @@ class TestWrapAngles:
         want = np.array([wrap_angle(float(p)) for p in psi])
         np.testing.assert_array_equal(got, want)
         assert got[0] == pi and got[1] == pi
+
+
+# ---------------------------------------------------------------------------
+# lane and offroad queries against the centre-line-array versions they
+# replaced, to the last bit
+
+
+def _ref_project_to_lane(pos, centerline):
+    p = np.asarray(pos, dtype=float)
+    cl = np.asarray(centerline, dtype=float)
+    a, b = cl[:-1], cl[1:]
+    d = b - a
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    len2 = np.maximum(seg_len**2, 1e-300)
+    t = np.clip(((p - a) * d).sum(axis=1) / len2, 0.0, 1.0)
+    closest = a + t[:, None] * d
+    dist = np.hypot(*(p - closest).T)
+    i = int(np.argmin(dist))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    arc = float(cum[i] + t[i] * seg_len[i])
+    heading = math.atan2(d[i, 1], d[i, 0])
+    rel = p - closest[i]
+    lateral = float(-math.sin(heading) * rel[0] + math.cos(heading) * rel[1])
+    return arc, lateral, heading
+
+
+def _ref_project_to_lane_batch(points, centerline):
+    pts = np.asarray(points, dtype=float)
+    cl = np.asarray(centerline, dtype=float)
+    a, b = cl[:-1], cl[1:]
+    d = b - a
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    len2 = np.maximum(seg_len**2, 1e-300)
+    rel = pts[:, None, :] - a[None, :, :]
+    t = np.clip((rel * d).sum(axis=2) / len2, 0.0, 1.0)
+    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    diff = pts[:, None, :] - closest
+    dist2 = (diff**2).sum(axis=2)
+    i = np.argmin(dist2, axis=1)
+    rows = np.arange(len(pts))
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    arc = cum[i] + t[rows, i] * seg_len[i]
+    heading = np.arctan2(d[i, 1], d[i, 0])
+    best = diff[rows, i]
+    lateral = -np.sin(heading) * best[:, 0] + np.cos(heading) * best[:, 1]
+    return arc, lateral, heading
+
+
+def _ref_lane_point_at(centerline, arc):
+    cl = np.asarray(centerline, dtype=float)
+    d = np.diff(cl, axis=0)
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    arc = min(max(arc, 0.0), float(cum[-1]))
+    i = int(np.searchsorted(cum, arc, side="right") - 1)
+    i = min(i, len(seg_len) - 1)
+    frac = (arc - cum[i]) / seg_len[i]
+    pt = cl[i] + frac * d[i]
+    heading = math.atan2(d[i, 1], d[i, 0])
+    return float(pt[0]), float(pt[1]), heading
+
+
+def _ref_lane_points_at_batch(centerline, arcs):
+    cl = np.asarray(centerline, dtype=float)
+    d = np.diff(cl, axis=0)
+    seg_len = np.hypot(d[:, 0], d[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    arcs = np.clip(np.asarray(arcs, dtype=float), 0.0, float(cum[-1]))
+    i = np.searchsorted(cum, arcs, side="right") - 1
+    i = np.clip(i, 0, len(seg_len) - 1)
+    frac = (arcs - cum[i]) / seg_len[i]
+    pts = cl[i] + frac[:, None] * d[i]
+    heading = np.arctan2(d[i, 1], d[i, 0])
+    return pts[:, 0], pts[:, 1], heading
+
+
+def _ref_point_in_polygon(px, py, poly):
+    n = len(poly)
+    inside = False
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        cross = (px - x1) * (y2 - y1) - (py - y1) * (x2 - x1)
+        if abs(cross) < 1e-12:
+            if min(x1, x2) - 1e-12 <= px <= max(x1, x2) + 1e-12 and min(
+                y1, y2
+            ) - 1e-12 <= py <= max(y1, y2) + 1e-12:
+                return True
+        if (y1 > py) != (y2 > py):
+            xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+            if px < xint:
+                inside = not inside
+    return inside
+
+
+def _ref_footprint_corners(x, y, psi, fp):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    hl, hw = fp.length / 2.0, fp.width / 2.0
+    local = np.array([[hl, hw], [hl, -hw], [-hl, -hw], [-hl, hw]])
+    c, s = np.cos(psi), np.sin(psi)
+    gx = x[..., None] + local[:, 0] * c[..., None] - local[:, 1] * s[..., None]
+    gy = y[..., None] + local[:, 0] * s[..., None] + local[:, 1] * c[..., None]
+    return np.stack([gx, gy], axis=-1)
+
+
+def _ref_is_offroad(state, fp, polys):
+    corners = _ref_footprint_corners(state.x, state.y, state.psi, fp)
+    for cx, cy in corners:
+        if not any(_ref_point_in_polygon(cx, cy, poly) for poly in polys):
+            return True
+    return False
+
+
+def _hex(*values):
+    """float.hex of every number in the (possibly nested) values."""
+    out = []
+    for v in values:
+        if isinstance(v, np.ndarray):
+            out.append([float.hex(x) for x in v.tolist()])
+        elif isinstance(v, (tuple, list)):
+            out.append(_hex(*v))
+        else:
+            out.append(float.hex(float(v)))
+    return out
+
+
+def _curved_polyline(rng) -> np.ndarray:
+    """2 to 20 vertices; segment lengths 0.5 to 30 m, each turning up to
+    1 rad from the last."""
+    n = int(rng.integers(2, 21))
+    headings = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.uniform(-1.0, 1.0, n - 1))
+    steps = rng.uniform(0.5, 30.0, n - 1)[:, None] * np.column_stack([np.cos(headings), np.sin(headings)])
+    return rng.uniform(-200.0, 200.0, 2) + np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
+
+
+class TestFootprintCornersMatchReference:
+    @given(_coord, _coord, st.floats(-10.0, 10.0), _footprint)
+    @settings(max_examples=200, deadline=None)
+    def test_corners(self, x, y, psi, fp):
+        want = _ref_footprint_corners(x, y, psi, fp).tolist()
+        assert _hex(footprint_corners(x, y, psi, fp)) == _hex(want)
+
+
+class TestLaneQueriesMatchReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_projection(self, seed):
+        rng = np.random.default_rng(seed)
+        cl = _curved_polyline(rng)
+        lane = Lane("L", cl, 10.0)
+        lo, hi = cl.min(axis=0) - 10.0, cl.max(axis=0) + 10.0
+        # random points, the vertices and points along the segments
+        pts = np.concatenate([
+            rng.uniform(lo, hi, (20, 2)),
+            cl,
+            cl[:-1] + rng.uniform(0.0, 1.0, (len(cl) - 1, 1)) * np.diff(cl, axis=0),
+        ])
+        for p in pts:
+            assert _hex(project_to_lane(p, lane)) == _hex(_ref_project_to_lane(p, cl))
+            assert _hex(project_to_lane(tuple(p.tolist()), lane)) == _hex(_ref_project_to_lane(p, cl))
+        assert _hex(project_to_lane_batch(pts, lane)) == _hex(_ref_project_to_lane_batch(pts, cl))
+        x, y = (float(v) for v in pts[0])
+        nearest = LaneGraph((Lane("A", cl[::-1].copy(), 10.0), lane)).nearest_lane(x, y)
+        want = min(
+            ((name, *_ref_project_to_lane((x, y), c)) for name, c in (("A", cl[::-1]), ("L", cl))),
+            key=lambda r: abs(r[2]),
+        )
+        assert (nearest[0].id, *_hex(nearest[1:])) == (want[0], *_hex(want[1:3]))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_point_at_arc(self, seed):
+        rng = np.random.default_rng(seed)
+        cl = _curved_polyline(rng)
+        lane = Lane("L", cl, 10.0)
+        cum = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(cl, axis=0).T))])
+        end = float(cum[-1])
+        vertices = cum.tolist()
+        arcs = (
+            [-5.0, -1e-12, -0.0, 0.0, end, end + 1e-9, end + 50.0]
+            + vertices
+            + [math.nextafter(a, -math.inf) for a in vertices]
+            + [math.nextafter(a, math.inf) for a in vertices]
+            + rng.uniform(-1.0, end + 1.0, 20).tolist()
+        )
+        for arc in arcs:
+            assert _hex(lane_point_at(lane, arc)) == _hex(_ref_lane_point_at(cl, arc))
+        arcs = np.array(arcs)
+        assert _hex(lane_points_at_batch(lane, arcs)) == _hex(_ref_lane_points_at_batch(cl, arcs))
+
+
+# a comb of three teeth: non-convex, with edges that are horizontal,
+# vertical and slanted, and reflex vertices
+_COMB = np.array([
+    [0.0, 0.0], [30.0, 0.0], [30.0, 12.0], [24.5, 12.0], [22.0, 4.0], [18.0, 4.0],
+    [15.0, 12.0], [10.0, 12.0], [10.0, 4.0], [6.0, 4.0], [3.25, 9.5], [0.0, 12.0],
+])
+_SECOND = np.array([[28.0, 10.0], [60.0, 10.0], [60.0, 16.0], [28.0, 16.0]])
+
+
+def _probe_points(poly, rng):
+    """Vertices, points on edges and just off them (inside and outside the
+    1e-12 cross-product tolerance), points on the lines through edges beyond
+    them, points level with each vertex, and random points."""
+    nxt = np.roll(poly, -1, axis=0)
+    d = nxt - poly
+    f = rng.uniform(0.0, 1.0, (len(poly), 1))
+    normal = d[:, ::-1] * [1.0, -1.0] / np.hypot(d[:, :1], d[:, 1:])
+    off = [poly + f * d + eps * normal for eps in (-1e-12, -1e-14, 1e-14, 1e-12)]
+    lo, hi = poly.min(axis=0) - 3.0, poly.max(axis=0) + 3.0
+    level = np.column_stack([rng.uniform(lo[0], hi[0], len(poly)), poly[:, 1]])
+    return np.concatenate([
+        poly, poly + 0.5 * d, poly + f * d, *off, poly - 0.25 * d, nxt + 0.25 * d, level,
+        rng.uniform(lo, hi, (40, 2)),
+    ]).tolist()
+
+
+class TestOffroadMatchesReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_point_in_non_convex_polygon(self, seed):
+        rng = np.random.default_rng(seed)
+        stored = LaneGraph((), (_COMB,)).drivable_area[0]
+        for px, py in _probe_points(_COMB, rng):
+            assert point_in_polygon(px, py, stored) == _ref_point_in_polygon(px, py, _COMB)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_offroad_on_two_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        lane_map = LaneGraph((), (_COMB, _SECOND))
+        fp = Footprint(float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.5, 2.5)))
+        hl, hw = fp.length / 2.0, fp.width / 2.0
+        states = [
+            AgentState(x, y, 1.0, float(rng.uniform(-math.pi, math.pi)))
+            for x, y in _probe_points(_COMB, rng) + _probe_points(_SECOND, rng)
+        ]
+        # axis-aligned boxes with a corner on a vertex of either polygon
+        for vx, vy in np.concatenate([_COMB, _SECOND]).tolist():
+            for sx in (-1.0, 1.0):
+                for sy in (-1.0, 1.0):
+                    states.append(AgentState(vx + sx * hl, vy + sy * hw, 1.0, 0.0))
+        for s in states:
+            assert is_offroad(s, fp, lane_map) == _ref_is_offroad(s, fp, (_COMB, _SECOND))
+
+
+def _reach(fa, fb):
+    return 0.5 * (math.hypot(fa.length, fa.width) + math.hypot(fb.length, fb.width))
+
+
+_near_zero = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9]) | st.floats(-1e-9, 1e-9)
+
+
+class TestCollisionIsExactClearance:
+    """check_collision is obb_clearance == 0 for every pose, the bounding-circle
+    reject included: poses at the edge of the reject, touching corner to
+    corner or edge to edge, at centre distances within 1e-9 m of the sum of
+    the half-diagonals."""
+
+    @staticmethod
+    def _agree(a, fa, b, fb):
+        want = bool(obb_clearance(a.x, a.y, a.psi, fa, b.x, b.y, b.psi, fb) == 0.0)
+        assert check_collision(a, fa, b, fb) == want
+        want = bool(obb_clearance(b.x, b.y, b.psi, fb, a.x, a.y, a.psi, fa) == 0.0)
+        assert check_collision(b, fb, a, fa) == want
+
+    @given(_footprint, _footprint, st.floats(1.0, 2.0), _pose, _angle, _near_zero, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_corner_to_corner(self, fa, fb, scale, pose_a, turn, delta, similar):
+        """b's diagonal continues a's, so their corners touch at delta = 0;
+        with similar footprints the two diagonals are one line."""
+        if similar:
+            fb = Footprint(fa.length * scale, fa.width * scale)
+        x, y, psi_a = pose_a
+        x, y = 30.0 * x, 30.0 * y
+        phi = psi_a + math.atan2(fa.width, fa.length)
+        psi_b = phi - math.atan2(fb.width, fb.length) + (turn if not similar else 0.0)
+        dist = _reach(fa, fb) + delta
+        a = AgentState(x, y, 1.0, psi_a)
+        b = AgentState(x + dist * math.cos(phi), y + dist * math.sin(phi), 1.0, psi_b)
+        self._agree(a, fa, b, fb)
+
+    @given(_footprint, _footprint, _pose, st.floats(-1.0, 1.0), _near_zero, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_edge_to_edge(self, fa, fb, pose_a, shift, delta, flip):
+        """b beside a, sharing the direction of a's long side, its facing
+        edge delta beyond a's."""
+        x, y, psi = pose_a
+        side = fa.width / 2 + fb.width / 2 + delta
+        along = shift * (fa.length + fb.length) / 2
+        c, s = math.cos(psi), math.sin(psi)
+        a = AgentState(x, y, 1.0, psi)
+        b = AgentState(x + along * c - side * s, y + along * s + side * c, 1.0, psi + (math.pi if flip else 0.0))
+        self._agree(a, fa, b, fb)
+
+    @given(_footprint, _footprint, _pose, _angle, _angle, _near_zero)
+    @settings(max_examples=200, deadline=None)
+    def test_centres_at_the_reject_distance(self, fa, fb, pose_a, direction, psi_b, delta):
+        x, y, psi_a = pose_a
+        dist = _reach(fa, fb) + delta
+        a = AgentState(x, y, 1.0, psi_a)
+        b = AgentState(x + dist * math.cos(direction), y + dist * math.sin(direction), 1.0, psi_b)
+        self._agree(a, fa, b, fb)
