@@ -49,6 +49,26 @@ def _footprint_from(d: dict) -> Footprint:
     return Footprint(length=float(d["length"]), width=float(d["width"]))
 
 
+# behaviour fields the simulator reads as numbers: any agent's, and a cut-in's
+_BEHAVIOR_NUMBERS = ("target_speed",)
+_CUT_IN_NUMBERS = ("probability", "brake_probability", "trigger_time", "brake_duration", "brake_decel")
+
+
+def _behavior(b: dict, lane_map: LaneGraph, aid: str) -> dict:
+    """b itself, after checking the simulator can run it: each field it reads
+    as a number is one, and a cut-in's target_lane names a lane of the map.
+    Other keys stay free-form."""
+    numbers = _BEHAVIOR_NUMBERS
+    if b.get("kind") == "cut_in":
+        if b.get("target_lane") not in [lane.id for lane in lane_map.lanes]:
+            raise ScenarioError(f"agent {aid}: cut_in target_lane {b.get('target_lane')!r} names no lane")
+        numbers += _CUT_IN_NUMBERS
+    for key in numbers:
+        if key in b and (isinstance(b[key], bool) or not isinstance(b[key], (int, float))):
+            raise ScenarioError(f"agent {aid}: behavior {key} must be a number, got {b[key]!r}")
+    return b
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     id: str
@@ -98,7 +118,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
                     id=aid,
                     state=_state_from(a["state"]),
                     footprint=_footprint_from(a["footprint"]),
-                    behavior=dict(a.get("behavior", {})),
+                    behavior=_behavior(dict(a.get("behavior", {})), lane_map, aid),
                 )
             )
         return ScenarioSpec(

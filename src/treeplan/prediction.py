@@ -1,11 +1,11 @@
 """Ego-conditioned, multi-stage, scene-centric scenario trees.
 
-A predictor expands one stage at a time given the agents' concatenated
-histories and the ego's conditioned motion through that stage. Flattening the
-ego tree yields the conditioning modes; per mode, a scenario tree is built
+A predictor expands one stage at a time given the agents' states at the
+start of that stage and the ego's conditioned motion through it. Flattening
+the ego tree yields the conditioning modes; per mode, a scenario tree is built
 node by node, each expansion keyed by (seed, stage, scenario path, ego prefix),
 so that modes agreeing through stage i produce identical trees through stage i
-(causal consistency). A history grows by one segment per expanded node.
+(causal consistency).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .world import (
     AgentState,
     LaneGraph,
     Trajectory,
-    concat_trajectories,
     lane_points_at_batch,
 )
 
@@ -34,12 +33,6 @@ class Scene:
     agents: dict  # agent_id -> AgentState
     footprints: dict = field(default_factory=dict)  # agent_id -> Footprint
     lane_map: LaneGraph | None = None
-
-    def initial_history(self, dt: float) -> dict:
-        return {
-            aid: Trajectory(t0=0.0, dt=dt, samples=(state,))
-            for aid, state in sorted(self.agents.items())
-        }
 
 
 @dataclass(frozen=True)
@@ -142,32 +135,33 @@ def predict_scenario_tree(
 ) -> ScenarioTree:
     """Stage-by-stage scenario tree conditioned on one ego mode.
 
-    Each node's expansion sees only the agents' concatenated histories and
+    Each node's expansion sees only the agents' states at the node's end and
     the ego motion through the current stage, never the ego's later stages.
     `rollouts` is handed to every `predict_stage` call unchanged.
     """
     if branching_factor < 1:
         raise ValueError("branching_factor must be >= 1")
-    base_history = scene.initial_history(schedule.dt)
     root = ScenarioNode(
         path=(),
         stage=0,
-        agent_trajectories=base_history,
+        agent_trajectories={
+            aid: Trajectory(t0=0.0, dt=schedule.dt, samples=(state,)) for aid, state in sorted(scene.agents.items())
+        },
         branch_probability=1.0,
     )
     nodes = {(): root}
-    # (node, its history); the root's is a copy, so a predictor cannot edit the root node
-    frontier = [(root, dict(base_history))]
+    frontier = [root]
     n_stages = min(schedule.num_stages, len(mode.ego_path) - 1)
     for stage in range(1, n_stages + 1):
         ego_seg = mode.ego_segments[stage]
         ego_prefix = mode.ego_path[: stage + 1]
         new_frontier = []
-        for node, history in frontier:
+        for node in frontier:
             # equal keys exactly when (stage, scenario path, ego prefix) are equal
             key = (seed, stage, node.path, ego_prefix)
+            states = {aid: traj.end for aid, traj in node.agent_trajectories.items()}
             try:
-                hypotheses = predictor.predict_stage(history, ego_seg, stage, key, rollouts)
+                hypotheses = predictor.predict_stage(states, ego_seg, stage, key, rollouts)
             except Exception as exc:  # noqa: BLE001 - context re-raise
                 raise PredictorFailure(stage, node.path, exc) from exc
             _check_hypotheses(hypotheses, branching_factor, node, stage)
@@ -179,12 +173,7 @@ def predict_scenario_tree(
                     branch_probability=float(prob),
                 )
                 nodes[child.path] = child
-                if stage < n_stages:
-                    child_history = {
-                        aid: concat_trajectories([hist, child.agent_trajectories.get(aid)])
-                        for aid, hist in history.items()
-                    }
-                    new_frontier.append((child, child_history))
+                new_frontier.append(child)
         frontier = new_frontier
     return ScenarioTree(nodes=nodes, schedule=schedule)
 
@@ -192,7 +181,7 @@ def predict_scenario_tree(
 def _check_hypotheses(hypotheses, branching_factor: int, node: ScenarioNode, stage: int):
     """Raise PredictorFailure unless the expansion of `node` gave 1 to
     branching_factor hypotheses whose probabilities lie in [0, 1] and sum to
-    1 within 1e-9, each keeping every agent of `node`."""
+    1 within 1e-9, each carrying exactly the agents of `node`."""
     if not 1 <= len(hypotheses) <= branching_factor:
         raise PredictorFailure(stage, node.path, f"{len(hypotheses)} hypotheses, not 1 to {branching_factor}")
     probs = [float(p) for _, p in hypotheses]
@@ -201,8 +190,9 @@ def _check_hypotheses(hypotheses, branching_factor: int, node: ScenarioNode, sta
         raise PredictorFailure(stage, node.path, f"probabilities {probs} are not a distribution")
     agents = node.agent_trajectories.keys()
     for trajs, _ in hypotheses:
-        if not agents <= trajs.keys():
-            raise PredictorFailure(stage, node.path, f"agents {sorted(agents - trajs.keys())} missing")
+        if trajs.keys() != agents:
+            missing, extra = sorted(agents - trajs.keys()), sorted(trajs.keys() - agents)
+            raise PredictorFailure(stage, node.path, f"agents {missing} missing, {extra} extra")
 
 
 @dataclass(frozen=True)
@@ -315,9 +305,9 @@ class KinematicPredictor:
     yield_boost: float = 2.0
 
     def predict_stage(
-        self, history: dict, ego_segment: Trajectory, stage: int, rng_key: tuple, rollouts: dict
+        self, states: dict, ego_segment: Trajectory, stage: int, rng_key: tuple, rollouts: dict
     ):
-        """Joint hypotheses for one stage.
+        """Joint hypotheses for one stage from the agents' current states.
 
         `rng_key` is the expansion's hashable key, equal for two expansions
         exactly when their seed, stage, scenario path and ego prefix are; a
@@ -340,11 +330,11 @@ class KinematicPredictor:
         del stage, rng_key  # deterministic model
         t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt
         ego_xy = [(s.x, s.y) for s in ego_segment.samples]
-        aids = sorted(history)
+        aids = sorted(states)
         pairs = []
         ps = [1.0]
         for aid in aids:
-            state = history[aid].end
+            state = states[aid]
             key = (state, self.b_decel, t0, duration, dt)
             pair = rollouts.get(key)
             if pair is None:

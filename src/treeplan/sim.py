@@ -176,7 +176,6 @@ class _PlanState:
         self.scen_path = ()
         self.path = None  # non-contingent node-id path
         self.path_pos = 1
-        self.fallback = False
         self.plan_id = "none"
 
 
@@ -233,7 +232,6 @@ def run_closed_loop(
 
     def replan(t: float):
         plan.plan_time = t
-        plan.fallback = False
         try:
             tree = grow_tree(ego, lane_map, pc.schedule, pc.sampler, cfg.seed)
             if tree.max_stage < pc.schedule.num_stages:
@@ -265,7 +263,6 @@ def run_closed_loop(
             return None
         except TreeplanError as exc:
             plan.kind = "fallback"
-            plan.fallback = True
             plan.plan_id = f"fallback@{t:.1f}"
             return str(exc)
 
@@ -309,12 +306,12 @@ def run_closed_loop(
                 events["planner_error"] = err
 
         # ego advance: move to the next plan segment when this one has run out
-        following = not plan.fallback and plan.traj is not None
+        following = plan.kind != "fallback" and plan.traj is not None
         if following and t + cfg.sim_dt - plan.plan_time > plan.traj.t_end + 1e-9:
             err = advance_plan(t + cfg.sim_dt)
             if err is not None:
                 events["planner_error"] = err
-        if plan.fallback or plan.traj is None:
+        if plan.kind == "fallback" or plan.traj is None:
             ego = integrate_unicycle(ego, UnicycleInput(a_min, 0.0), cfg.sim_dt, pc.sampler.limits)
         else:
             ego = plan.traj.state_at(t + cfg.sim_dt - plan.plan_time)

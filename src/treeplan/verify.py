@@ -213,8 +213,8 @@ class FuturePeekingPredictor(KinematicPredictor):
     def set_mode(self, mode: ECMode):
         self._mode_end = mode.ego_segments[-1].end
 
-    def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
-        hypotheses = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+    def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
+        hypotheses = super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
         # leak: shift every prediction by a function of the full ego future
         shift = 0.01 * self._mode_end.x
         out = []

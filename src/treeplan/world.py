@@ -146,14 +146,16 @@ class Footprint:
             raise ValueError("footprint dimensions must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lane:
     """A lane's centre line with its arc table, built once.
 
     centerline is a read-only (n, 2) copy of the polyline given. segments
     holds the n - 1 segment vectors, lengths their lengths and arc the
     cumulative arc length at each vertex, all read-only arrays; headings is
-    each segment's heading. The lane queries below read these tables.
+    each segment's heading. The lane queries below read these tables. Lanes
+    are equal, and hash alike, when their id, centre-line values, speed
+    limit and successors are equal.
     """
 
     id: str
@@ -170,6 +172,7 @@ class Lane:
     _len2: np.ndarray = field(init=False, repr=False, compare=False)
     _arc_floats: tuple = field(init=False, repr=False, compare=False)
     _rows: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cl = np.array(self.centerline, dtype=float)
@@ -194,8 +197,15 @@ class Lane:
             ("_len2", len2),
             ("_arc_floats", tuple(cum.tolist())),
             ("_rows", tuple(zip(*cl[:-1].T.tolist(), *seg.T.tolist(), seg_len.tolist(), headings))),
+            ("_key", (self.id, tuple(map(tuple, cl.tolist())), self.speed_limit, tuple(self.successors))),
         ):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, Lane) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
 
 
 @dataclass(frozen=True)
@@ -481,26 +491,6 @@ def project_to_lane_batch(points: np.ndarray, lane: Lane):
     best = diff[rows, i]
     lateral = -np.sin(heading) * best[:, 0] + np.cos(heading) * best[:, 1]
     return arc, lateral, heading
-
-
-def concat_trajectories(parts) -> Trajectory:
-    """Join consecutive segments sharing dt; duplicated join samples dropped.
-
-    Zero-duration (single-sample) parts other than the first are treated as
-    join points and skipped.
-    """
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    first = parts[0]
-    samples = list(first.samples)
-    for p in parts[1:]:
-        if abs(p.dt - first.dt) > 1e-12:
-            raise ValueError("mismatched dt in concatenation")
-        if len(p.samples) == 1:
-            continue
-        samples.extend(p.samples[1:])
-    return Trajectory(t0=first.t0, dt=first.dt, samples=tuple(samples))
 
 
 def lane_point_at(lane: Lane, arc: float):

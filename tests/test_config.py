@@ -151,9 +151,56 @@ def test_non_object_section_rejected():
         parse_scenario(_edit(SCENARIO, (), "ego", [0.0, 0.0]))
 
 
-def _assert_cli_rejects(tmp_path, config):
+CUT_IN = {"kind": "cut_in", "probability": 1.0, "trigger_time": 0.5, "target_lane": "L0",
+          "brake_probability": 0.5, "brake_decel": 4.0, "brake_duration": 2.0, "target_speed": 10.0}
+
+
+def _with_behavior(behavior):
+    return _edit(SCENARIO, ("agents", 0), "behavior", behavior)
+
+
+def test_cut_in_the_simulator_can_run_is_stored_unchanged():
+    behavior = {**CUT_IN, "note": "free-form keys stay allowed", "probability": 1}
+    spec = parse_scenario(_with_behavior(behavior))
+    assert spec.agents[0].behavior == behavior
+    assert parse_scenario(_with_behavior({"kind": "cut_in", "target_lane": "L0"})).agents[0].behavior
+
+
+MISSING = object()  # the key is left out
+BEHAVIOR_REJECTIONS = {
+    "target_lane_unknown": ("target_lane", "nope"),
+    "target_lane_missing": ("target_lane", MISSING),
+    "target_lane_not_a_string": ("target_lane", ["L0"]),
+    "probability_string": ("probability", "high"),
+    "probability_numeric_string": ("probability", "0.5"),
+    "brake_probability_list": ("brake_probability", [0.5]),
+    "trigger_time_bool": ("trigger_time", True),
+    "brake_duration_null": ("brake_duration", None),
+    "brake_decel_string": ("brake_decel", "hard"),
+    "target_speed_string": ("target_speed", "fast"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEHAVIOR_REJECTIONS))
+def test_scenario_rejects_cut_in_the_simulator_cannot_run(case):
+    key, value = BEHAVIOR_REJECTIONS[case]
+    behavior = {**CUT_IN, key: value}
+    if value is MISSING:
+        del behavior[key]
+    with pytest.raises(ScenarioError, match=f"lead: .*{key}"):
+        parse_scenario(_with_behavior(behavior))
+
+
+def test_target_speed_checked_for_every_kind():
+    with pytest.raises(ScenarioError, match="target_speed"):
+        parse_scenario(_with_behavior({"kind": "lane_follow", "target_speed": "fast"}))
+    # a cut-in's fields mean nothing to another kind
+    assert parse_scenario(_with_behavior({"kind": "lane_follow", "target_lane": "nope", "probability": "x"}))
+
+
+def _assert_cli_rejects(tmp_path, config, scenario=SCENARIO):
     scen, cfg = tmp_path / "s.json", tmp_path / "c.json"
-    scen.write_text(json.dumps(SCENARIO))
+    scen.write_text(json.dumps(scenario))
     cfg.write_text(json.dumps(config))
     out = tmp_path / "never.jsonl"
     assert main(["run", "--scenario", str(scen), "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
@@ -170,3 +217,8 @@ def test_cli_rejects_zero_replan_period(tmp_path):
 
 def test_cli_rejects_off_grid_total_duration(tmp_path):
     _assert_cli_rejects(tmp_path, _edit(CONFIG, ("sim",), "total_duration", 2.26))
+
+
+@pytest.mark.parametrize("key, value", [("target_lane", "nope"), ("brake_decel", "hard")])
+def test_cli_rejects_cut_in_the_simulator_cannot_run(tmp_path, key, value):
+    _assert_cli_rejects(tmp_path, CONFIG, _with_behavior({**CUT_IN, key: value}))

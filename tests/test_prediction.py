@@ -30,7 +30,7 @@ from treeplan.prediction import (
     validate_causal_consistency,
 )
 from treeplan.sampler import TreeNode, TrajectoryTree
-from treeplan.world import concat_trajectories, lane_points_at_batch
+from treeplan.world import lane_points_at_batch
 from treeplan.verify import (
     FuturePeekingPredictor,
     make_shared_prefix_tree,
@@ -86,6 +86,13 @@ def _slice_stage(traj, schedule, stage):
     return Trajectory(t0=start, dt=traj.dt, samples=traj.samples[k0 : k1 + 1])
 
 
+def _join(segments):
+    """One trajectory through consecutive segments, each join sample kept once."""
+    first = segments[0]
+    samples = first.samples + tuple(s for seg in segments[1:] for s in seg.samples[1:])
+    return Trajectory(first.t0, first.dt, samples)
+
+
 class TestModeSegments:
     def test_modes_carry_the_tree_segments(self):
         """Each mode holds its path's own segments, and stage i of their join
@@ -98,7 +105,7 @@ class TestModeSegments:
             assert len(mode.ego_segments) == len(mode.ego_path)
             for node_id, seg in zip(mode.ego_path, mode.ego_segments):
                 assert seg is tree.node(node_id).segment
-            joined = concat_trajectories(mode.ego_segments)
+            joined = _join(mode.ego_segments)
             assert joined.t0 == 0.0 and joined.t_end == pytest.approx(schedule.horizon)
             for stage in range(1, schedule.num_stages + 1):
                 assert mode.ego_segments[stage] == _slice_stage(joined, schedule, stage)
@@ -119,14 +126,10 @@ class TestKinematicPredictor:
         _, brake = prediction._advance_agent(AgentState(0, 0, 2.0, 0), 4.0, 2.0, 0.1, 0.0, None)
         assert brake.end.v == 0.0
 
-    @staticmethod
-    def _hist(**agents):
-        return {aid: Trajectory(0.0, 0.1, (state,)) for aid, state in agents.items()}
-
     def test_single_agent_two_modes(self):
         pred = KinematicPredictor(branching_factor=4)
         ego_seg = Trajectory(0.0, 0.1, (AgentState(-100, 0, 5, 0),) * 21)
-        hyps = pred.predict_stage(self._hist(a0=AgentState(0, 0, 8, 0)), ego_seg, 1, 0, {})
+        hyps = pred.predict_stage({"a0": AgentState(0, 0, 8, 0)}, ego_seg, 1, 0, {})
         assert len(hyps) == 2
         probs = sorted(p for _, p in hyps)
         assert probs == pytest.approx([0.3, 0.7])
@@ -135,8 +138,8 @@ class TestKinematicPredictor:
     def test_joint_truncated_to_branching_factor(self):
         pred = KinematicPredictor(branching_factor=3)
         ego_seg = Trajectory(0.0, 0.1, (AgentState(-100, 0, 5, 0),) * 21)
-        history = self._hist(a0=AgentState(0, 0, 8, 0), a1=AgentState(10, 3, 8, 0))
-        hyps = pred.predict_stage(history, ego_seg, 1, 0, {})
+        states = {"a0": AgentState(0, 0, 8, 0), "a1": AgentState(10, 3, 8, 0)}
+        hyps = pred.predict_stage(states, ego_seg, 1, 0, {})
         assert len(hyps) == 3
         assert sum(p for _, p in hyps) == pytest.approx(1.0)
         # ordered by descending probability
@@ -148,8 +151,8 @@ class TestKinematicPredictor:
         agent = AgentState(0, 0, 8, 0)
         far = Trajectory(0.0, 0.1, (AgentState(-100, 50, 5, 0),) * 21)
         crossing = Trajectory(0.0, 0.1, tuple(AgentState(5.0 + k, 0.5, 5, 0) for k in range(21)))
-        p_brake_far = min(p for _, p in pred.predict_stage(self._hist(a0=agent), far, 1, 0, {}))
-        p_brake_near = min(p for _, p in pred.predict_stage(self._hist(a0=agent), crossing, 1, 0, {}))
+        p_brake_far = min(p for _, p in pred.predict_stage({"a0": agent}, far, 1, 0, {}))
+        p_brake_near = min(p for _, p in pred.predict_stage({"a0": agent}, crossing, 1, 0, {}))
         assert p_brake_near > p_brake_far
 
 
@@ -291,8 +294,8 @@ class TestRolloutTable:
 
     def test_ensemble_equals_a_fresh_table_per_stage_call(self, two_lane_map):
         class Fresh(KinematicPredictor):
-            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
-                return super().predict_stage(history, ego_segment, stage, rng_key, {})
+            def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
+                return super().predict_stage(states, ego_segment, stage, rng_key, {})
 
         tree, scene = self._inputs(two_lane_map)
         ensemble = self._predict(KinematicPredictor(lane_map=two_lane_map, branching_factor=4), tree, scene)
@@ -300,20 +303,9 @@ class TestRolloutTable:
         assert ensemble == reference
 
 
-def _ancestor_history(base_history, nodes, path):
-    """Reference: the original history extended by the predictions along the
-    node's ancestry, rebuilt from the root."""
-    chain = [nodes[path[:k]] for k in range(1, len(path) + 1)]
-    out = {}
-    for aid, hist in base_history.items():
-        parts = [hist] + [n.agent_trajectories[aid] for n in chain if aid in n.agent_trajectories]
-        out[aid] = concat_trajectories(parts)
-    return out
-
-
 @dataclass
 class _Recording(KinematicPredictor):
-    """Records every expansion's mode, key and history, in call order."""
+    """Records every expansion's mode, key and states, in call order."""
 
     conditions_on_full_mode = True
     calls: list = field(default_factory=list)
@@ -321,17 +313,17 @@ class _Recording(KinematicPredictor):
     def set_mode(self, mode):
         self._mode = mode
 
-    def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
-        self.calls.append((self._mode, stage, rng_key, history))
-        return super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+    def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
+        self.calls.append((self._mode, stage, rng_key, dict(states)))
+        return super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
 
 
 class TestExpansion:
-    """The key and the history each expansion hands the predictor."""
+    """The key and the states each expansion hands the predictor."""
 
     @staticmethod
     def _expansions():
-        """(key, stage, scenario path, ego prefix, history, scenario tree) per
+        """(key, stage, scenario path, ego prefix, states, scenario tree) per
         expansion of a 3-stage, 8-mode ensemble with two agents."""
         tree = _structural_tree(3, 2)
         scene = Scene(agents={"a": AgentState(10.0, 0.0, 5.0, 0.0), "b": AgentState(20.0, 3.0, 4.0, 0.0)})
@@ -344,8 +336,8 @@ class TestExpansion:
             # a tree expands breadth first, each stage in path order
             expanded = [n for stage in range(3) for n in scen.stage_nodes(stage)]
             assert [c[1] for c in calls] == [n.stage + 1 for n in expanded]
-            for (_, stage, key, history), node in zip(calls, expanded):
-                out.append((key, stage, node.path, mode.ego_path[: stage + 1], history, scen))
+            for (_, stage, key, states), node in zip(calls, expanded):
+                out.append((key, stage, node.path, mode.ego_path[: stage + 1], states, scen))
         return scene, out
 
     def test_keys_equal_exactly_when_the_expansions_are(self):
@@ -358,13 +350,35 @@ class TestExpansion:
         distinct = {e[0] for e in expansions}
         assert len(expansions) > len(distinct) == len({tuple(e[1:4]) for e in expansions})
 
-    def test_histories_equal_the_ancestor_chain(self):
+    def test_states_are_the_end_states_of_the_expanded_node(self):
         scene, expansions = self._expansions()
-        base = scene.initial_history(0.1)
-        for _, _, path, _, history, scen in expansions:
-            assert history == _ancestor_history(base, scen.nodes, path)
+        for _, _, path, _, states, scen in expansions:
+            node = scen.nodes[path]
+            assert states == {aid: traj.end for aid, traj in node.agent_trajectories.items()}
             if path == ():
-                assert history is not scen.root.agent_trajectories
+                assert states == scene.agents
+
+    def test_a_predictor_editing_its_states_leaves_the_tree_unchanged(self):
+        """Each expansion gets its own dict: overwriting, adding and removing
+        entries after predicting changes no node of any tree."""
+        class Editing(KinematicPredictor):
+            def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
+                hyps = super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
+                states["a"] = AgentState(-50.0, 9.0, 1.0, 1.0)
+                states["ghost"] = states.pop("b")
+                return hyps
+
+        tree = _structural_tree(3, 2)
+        agents = {"a": AgentState(10.0, 0.0, 5.0, 0.0), "b": AgentState(20.0, 3.0, 4.0, 0.0)}
+        scene = Scene(agents=dict(agents))
+        edited = predict_ensemble(Editing(branching_factor=2), scene, tree, tree.schedule, 2, 9)
+        plain = predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, tree.schedule, 2, 9)
+        assert edited == plain
+        assert scene.agents == agents
+        for scen in edited.trees.values():
+            assert {aid: t.samples for aid, t in scen.root.agent_trajectories.items()} == {
+                aid: (state,) for aid, state in agents.items()
+            }
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +488,7 @@ def _all_dicts_predict_stage(pred, history, ego_segment, rollouts):
 
 def _validate_tree(tree):
     """Reference: every expanded node's children sum to probability 1 and
-    keep all of its agents, and the root has probability 1."""
+    carry exactly its agents, and the root has probability 1."""
     for node in tree.nodes.values():
         kids = tree.children(node.path)
         if kids:
@@ -483,8 +497,8 @@ def _validate_tree(tree):
                 raise ValueError(f"children probabilities at {node.path} sum to {total}")
             agents = set(node.agent_trajectories)
             for k in kids:
-                if not agents <= set(k.agent_trajectories):
-                    raise ValueError(f"agent disappears below {node.path}")
+                if agents != set(k.agent_trajectories):
+                    raise ValueError(f"agent set changes below {node.path}")
     if abs(tree.root.branch_probability - 1.0) > 1e-12:
         raise ValueError("root probability must be 1")
 
@@ -501,7 +515,7 @@ class TestJointHypotheses:
                                            (30.0, 3.5, 4.0), (-3.0, 1.0, 7.0), (60.0, 0.0, 0.0)])
         }
         history = {aid: Trajectory(0.0, 0.1, (state,)) for aid, state in agents.items()}
-        got = pred.predict_stage(history, ego_seg, 1, ("key",), {})
+        got = pred.predict_stage(agents, ego_seg, 1, ("key",), {})
         want = _all_dicts_predict_stage(pred, history, ego_seg, {})
         lateral = prediction.YIELD_LATERAL
         crossed = sum(_ref_ego_crosses_in_front(ego_seg, s, pred.tau_yield, lateral) for s in agents.values())
@@ -585,9 +599,10 @@ class TestMatchesReference:
         if agents and data.draw(st.booleans()):
             k = data.draw(st.integers(0, n - 1))
             agents[0] = AgentState(ego_seg.samples[k].x - 2.0, ego_seg.samples[k].y, agents[0].v, 0.0)
-        history = {f"a{k}": Trajectory(0.0, 0.1, (state,)) for k, state in enumerate(agents)}
+        states = {f"a{k}": state for k, state in enumerate(agents)}
+        history = {aid: Trajectory(0.0, 0.1, (state,)) for aid, state in states.items()}
         rollouts = {}
-        got = pred.predict_stage(history, ego_seg, 1, ("key",), rollouts)
+        got = pred.predict_stage(states, ego_seg, 1, ("key",), rollouts)
         want = _ref_predict_stage(pred, history, ego_seg, {})
         assert len(got) == len(want) == min(branching, 2 ** len(agents))
         assert _hex_hypotheses(got) == _hex_hypotheses(want)
@@ -595,7 +610,7 @@ class TestMatchesReference:
             assert float.hex(p) == float.hex(ref_p)
             assert list(trajs.items()) == list(ref_trajs.items())
         # a second call reads the rollouts from the table
-        assert _hex_hypotheses(pred.predict_stage(history, ego_seg, 1, ("key",), rollouts)) == _hex_hypotheses(want)
+        assert _hex_hypotheses(pred.predict_stage(states, ego_seg, 1, ("key",), rollouts)) == _hex_hypotheses(want)
 
 
 class TestAdversarialPredictor:
@@ -614,7 +629,7 @@ class TestAdversarialPredictor:
 class TestPredictorFailure:
     def test_failure_carries_stage_context(self):
         class Broken(KinematicPredictor):
-            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
+            def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
                 raise RuntimeError("model exploded")
 
         tree, schedule = make_shared_prefix_tree()
@@ -630,6 +645,7 @@ class TestPredictorFailure:
         "probabilities 1.5 and -0.5": (lambda hyps: [(hyps[0][0], 1.5), (hyps[1][0], -0.5)], "not a distribution"),
         "NaN probabilities": (lambda hyps: [(trajs, math.nan) for trajs, _ in hyps], "not a distribution"),
         "agent a0 missing": (lambda hyps: [({}, p) for _, p in hyps], "agents ['a0'] missing"),
+        "extra agent": (lambda hyps: [({**trajs, "ghost": trajs["a0"]}, p) for trajs, p in hyps], "['ghost'] extra"),
         "one NaN of two": (lambda hyps: [(hyps[0][0], 1.0), (hyps[1][0], math.nan)], "not a distribution"),
         "sum 0.9": (lambda hyps: [(hyps[0][0], 0.6), (hyps[1][0], 0.3)], "not a distribution"),
         "three of branching 2": (lambda hyps: hyps + hyps[:1], "3 hypotheses, not 1 to 2"),
@@ -642,8 +658,8 @@ class TestPredictorFailure:
         change, reason = self.BAD_OUTPUTS[what]
 
         class Bad(KinematicPredictor):
-            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
-                hyps = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
+            def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
+                hyps = super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
                 return change(hyps) if rng_key[1:3] == (2, (1,)) else hyps
 
         tree, schedule = make_shared_prefix_tree()
@@ -654,19 +670,14 @@ class TestPredictorFailure:
         assert reason in str(err.value.cause) and err.value.__cause__ is None
 
     def test_good_output_passes_the_checks(self):
-        """Exact-sum outputs of the kinematic predictor, and an extra agent,
-        are accepted; each tree passes the reference validation."""
-        class Extra(KinematicPredictor):
-            def predict_stage(self, history, ego_segment, stage, rng_key, rollouts):
-                hyps = super().predict_stage(history, ego_segment, stage, rng_key, rollouts)
-                return [({**trajs, "ghost": trajs["a0"]}, p) for trajs, p in hyps]
-
+        """Exact-sum outputs of the kinematic predictor are accepted; each
+        tree passes the reference validation."""
         tree, schedule = make_shared_prefix_tree()
         scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
-        ensemble = predict_ensemble(Extra(branching_factor=2), scene, tree, schedule, 2, 0)
+        ensemble = predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, schedule, 2, 0)
         for scen in ensemble.trees.values():
             _validate_tree(scen)
-            assert all("ghost" in n.agent_trajectories for n in scen.nodes.values() if n.path)
+            assert all(n.agent_trajectories.keys() == {"a0"} for n in scen.nodes.values())
 
 
 class TestStageIndex:

@@ -1,6 +1,7 @@
 """Geometry and kinematics: integration accuracy, collision, lane projection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from treeplan import (
     is_offroad,
     project_to_lane,
 )
+from treeplan.config import load_scenario
 from treeplan.world import (
-    concat_trajectories,
     footprint_corners,
     integrate_unicycle_grid,
     lane_point_at,
@@ -314,6 +315,34 @@ class TestLaneTable:
             Lane("L", [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]], 10.0)
 
 
+class TestLaneEquality:
+    CL = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
+
+    def test_equal_values_are_equal_lanes_with_one_hash(self):
+        a, b = Lane("L", self.CL, 10.0, ("M",)), Lane("L", self.CL.copy().tolist(), 10.0, ["M"])
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a, b} == {a}
+        assert a != "L"
+
+    @pytest.mark.parametrize("field", ["vertex", "id", "speed_limit", "successors"])
+    def test_one_field_apart_is_unequal(self, field):
+        cl = self.CL.copy()
+        changed = {"id": "L", "centerline": cl, "speed_limit": 10.0, "successors": ("M",)}
+        if field == "vertex":
+            cl[2, 1] = 10.5
+        else:
+            changed[field] = {"id": "K", "speed_limit": 11.0, "successors": ("N",)}[field]
+        assert Lane(**changed) != Lane("L", self.CL, 10.0, ("M",))
+
+    def test_two_loads_of_a_scenario_are_equal(self):
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "cutin.json"
+        first, second = load_scenario(path), load_scenario(path)
+        assert first == second
+        assert first.lane_map.lanes[0] is not second.lane_map.lanes[0]
+        assert hash(first.lane_map) == hash(second.lane_map)
+
+
 class TestNearestLane:
     def test_returns_the_projection_onto_the_nearest_lane(self):
         l0 = Lane("L0", np.array([[0.0, 0.0], [100.0, 0.0]]), 12.0)
@@ -332,13 +361,6 @@ class TestTrajectory:
         traj = Trajectory(0.0, 1.0, samples)
         mid = traj.state_at(0.5)
         assert mid.x == pytest.approx(1.0)
-
-    def test_concat_drops_duplicate_join(self):
-        a = Trajectory(0.0, 0.1, (AgentState(0, 0, 1, 0), AgentState(0.1, 0, 1, 0)))
-        b = Trajectory(0.1, 0.1, (AgentState(0.1, 0, 1, 0), AgentState(0.2, 0, 1, 0)))
-        joined = concat_trajectories([a, b])
-        assert len(joined.samples) == 3
-        assert joined.samples[-1].x == pytest.approx(0.2)
 
     def test_footprint_corners_axis_aligned(self):
         corners = footprint_corners(0.0, 0.0, 0.0, Footprint(4.0, 2.0))
