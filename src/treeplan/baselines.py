@@ -2,9 +2,10 @@
 
 NCR commits to the single root-to-leaf ego path with the best expected cost
 over all predicted branches; NCG plans against the single most likely
-scenario path only. Neither switches on observations. The scenario argument
-is a ScenarioTree or an ECPredictionEnsemble; structure is read through its
-tree_for_ego_node.
+scenario path only. Neither switches on observations: a committed path is the
+policy that picks the path's next node whatever branch it observes
+(path_policy). The scenario argument is a ScenarioTree or an
+ECPredictionEnsemble; structure is read through its tree_for_ego_node.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .costs import CostTensor
+from .dp import PolicyTable, policy_expected_cost
 from .sampler import TrajectoryTree
 
 
@@ -26,27 +28,27 @@ def _ego_paths(tree: TrajectoryTree) -> list:
     return [tuple(tree.path_to(leaf.id)) for leaf in tree.leaves()]
 
 
+def path_policy(scenario, ego_path: tuple) -> PolicyTable:
+    """The policy that follows a root-to-leaf ego path whatever branch it observes:
+    (ego_path[i], s.path) -> ego_path[i + 1] for each stage-i scenario node s."""
+    pi = {}
+    for i, (ego_id, next_id) in enumerate(zip(ego_path, ego_path[1:])):
+        for scen in scenario.tree_for_ego_node(ego_id).stage_nodes(i):
+            pi[(ego_id, scen.path)] = next_id
+    return PolicyTable(pi=pi)
+
+
 def path_expected_cost(
     tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
-    """Expected cumulative cost of one fixed ego path over all branches."""
-    return _expected_from(scenario, costs, ego_path, 0, ())
-
-
-def _expected_from(scenario, costs: CostTensor, ego_path: tuple, stage: int, scen_path: tuple) -> float:
-    c = costs.get(ego_path[stage], scen_path)
-    if stage == len(ego_path) - 1:
-        return c
-    total = c
-    for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
-        total += child.branch_probability * _expected_from(scenario, costs, ego_path, stage + 1, child.path)
-    return total
+    """Expected cumulative cost of one fixed root-to-leaf ego path over all branches."""
+    return policy_expected_cost(tree, scenario, costs, path_policy(scenario, ego_path))
 
 
 def path_worst_case_cost(
     tree: TrajectoryTree, scenario, costs: CostTensor, ego_path: tuple
 ) -> float:
-    """Worst-case (max over branches) cumulative cost of one fixed ego path."""
+    """Worst-case (max over branches) cumulative cost of one fixed root-to-leaf ego path."""
     return _worst_from(scenario, costs, ego_path, 0, ())
 
 

@@ -49,15 +49,19 @@ def _footprint_from(d: dict) -> Footprint:
     return Footprint(length=float(d["length"]), width=float(d["width"]))
 
 
+_BEHAVIOR_KINDS = ("lane_follow", "cut_in")
 # behaviour fields the simulator reads as numbers: any agent's, and a cut-in's
 _BEHAVIOR_NUMBERS = ("target_speed",)
 _CUT_IN_NUMBERS = ("probability", "brake_probability", "trigger_time", "brake_duration", "brake_decel")
 
 
 def _behavior(b: dict, lane_map: LaneGraph, aid: str) -> dict:
-    """b itself, after checking the simulator can run it: each field it reads
-    as a number is one, and a cut-in's target_lane names a lane of the map.
-    Other keys stay free-form."""
+    """b itself, after checking the simulator can run it: its kind (lane
+    following when missing) is one it knows, each field it reads as a number
+    is one, and a cut-in's target_lane names a lane of the map. Other keys
+    stay free-form."""
+    if b.get("kind", "lane_follow") not in _BEHAVIOR_KINDS:
+        raise ScenarioError(f"agent {aid}: unknown behavior kind {b['kind']!r}")
     numbers = _BEHAVIOR_NUMBERS
     if b.get("kind") == "cut_in":
         if b.get("target_lane") not in [lane.id for lane in lane_map.lanes]:
@@ -158,6 +162,9 @@ class PredictorConfig:
     def __post_init__(self):
         if self.branching_factor < 1:
             raise ValueError("branching_factor must be >= 1")
+        m, b = self.maintain_prior, self.brake_prior
+        if not (m >= 0 and b >= 0 and m + b > 0):
+            raise ValueError("maintain_prior and brake_prior must be nonnegative with a positive sum")
 
 
 @dataclass(frozen=True)
@@ -211,58 +218,82 @@ class PlannerConfig:
     sim: SimConfig = field(default_factory=SimConfig)
 
 
-_CONFIG_KEYS = ("sampler", "limits", "schedule", "predictor", "cost", "planner", "ncr_worst_case", "sim", "seed")
-_SAMPLER_KEYS = ("accel_grid", "yaw_rate_grid", "speed_grid", "lateral_offsets", "max_children")
-_SCHEDULE_KEYS = ("num_stages", "stage_duration", "dt")
-_COST_KEYS = ("w_collision", "w_lane", "w_goal", "w_comfort", "collision_scale")
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what a JSON value must be for a field of each annotated type; a tuple is a grid
+_VALUE_CHECKS = {
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+_SECTION = "section"  # an object, checked where it is parsed
+_CONFIG_TYPES = {
+    "planner": "str",
+    "ncr_worst_case": "bool",
+    "seed": "int",
+    **dict.fromkeys(("sampler", "limits", "schedule", "predictor", "cost", "sim"), _SECTION),
+}
+_SCHEDULE_TYPES = {"num_stages": "int", "stage_duration": "float", "dt": "float"}
 _PREDICTOR_KINDS = ("kinematic",)
 
 
-def _fields(cls, *exclude) -> tuple:
-    return tuple(f.name for f in dataclasses.fields(cls) if f.name not in exclude)
+def _field_types(cls, *exclude) -> dict:
+    """Field name -> annotation of a config dataclass; dataclass fields are sections."""
+    return {
+        f.name: f.type if f.type in _VALUE_CHECKS else _SECTION
+        for f in dataclasses.fields(cls)
+        if f.name not in exclude
+    }
+
+
+def _typed(doc, types: dict, where: str) -> dict:
+    """A copy of doc after checking that it is an object, that each key is
+    one of types and that each value is what its type takes: bools, JSON
+    integers, numbers, strings, lists of numbers, never coerced. Numbers of
+    float fields come out as floats and grids as tuples of floats."""
+    out = dict(_keys(doc, types, where))
+    for key, value in doc.items():
+        if types[key] == _SECTION:
+            continue
+        noun, ok = _VALUE_CHECKS[types[key]]
+        if not ok(value):
+            raise ScenarioError(f"{where} {key} must be {noun}, got {value!r}")
+        if types[key] == "float":
+            out[key] = float(value)
+        elif types[key] == "tuple":
+            out[key] = tuple(float(x) for x in value)
+    return out
 
 
 def parse_planner_config(doc: dict) -> PlannerConfig:
     try:
-        _keys(doc, _CONFIG_KEYS, "planner config")
-        s = _keys(doc.get("sampler", {}), _SAMPLER_KEYS, "sampler")
-        limits = DynamicsLimits(**_keys(doc.get("limits", {}), _fields(DynamicsLimits), "limits"))
+        top = _typed(doc, _CONFIG_TYPES, "planner config")
+        limits = DynamicsLimits(**_typed(top.get("limits", {}), _field_types(DynamicsLimits), "limits"))
         sampler = SamplerConfig(
-            accel_grid=tuple(s.get("accel_grid", SamplerConfig.accel_grid)),
-            yaw_rate_grid=tuple(s.get("yaw_rate_grid", SamplerConfig.yaw_rate_grid)),
-            speed_grid=tuple(s.get("speed_grid", SamplerConfig.speed_grid)),
-            lateral_offsets=tuple(s.get("lateral_offsets", SamplerConfig.lateral_offsets)),
-            max_children=int(s.get("max_children", SamplerConfig.max_children)),
-            limits=limits,
+            **_typed(top.get("sampler", {}), _field_types(SamplerConfig, "limits"), "sampler"), limits=limits
         )
-        sched = _keys(doc.get("schedule", {}), _SCHEDULE_KEYS, "schedule")
-        schedule = StageSchedule.uniform(
-            num_stages=int(sched.get("num_stages", 2)),
-            stage_duration=float(sched.get("stage_duration", 2.0)),
-            dt=float(sched.get("dt", 0.1)),
-        )
-        predictor = PredictorConfig(**_keys(doc.get("predictor", {}), _fields(PredictorConfig), "predictor"))
+        sched = _typed(top.get("schedule", {}), _SCHEDULE_TYPES, "schedule")
+        schedule = StageSchedule.uniform(**{"num_stages": 2, **sched})
+        pred = _typed(top.get("predictor", {}), _field_types(PredictorConfig), "predictor")
+        predictor = PredictorConfig(**pred)
         if predictor.kind not in _PREDICTOR_KINDS:
             raise ScenarioError(f"unknown predictor kind {predictor.kind!r}")
-        w = _keys(doc.get("cost", {}), _COST_KEYS, "cost")
-        weights = CostWeights(
-            w_collision=float(w.get("w_collision", CostWeights.w_collision)),
-            w_lane=float(w.get("w_lane", CostWeights.w_lane)),
-            w_goal=float(w.get("w_goal", CostWeights.w_goal)),
-            w_comfort=float(w.get("w_comfort", CostWeights.w_comfort)),
-            collision_scale=float(w.get("collision_scale", CostWeights.collision_scale)),
-        )
-        sim_doc = dict(_keys(doc.get("sim", {}), _fields(SimConfig, "seed"), "sim"))
-        spawn = SpawnConfig(**_keys(sim_doc.pop("spawn", {}), _fields(SpawnConfig), "sim.spawn"))
-        ou = OUParams(**_keys(sim_doc.pop("ou", {}), _fields(OUParams), "sim.ou"))
-        sim = SimConfig(spawn=spawn, ou=ou, seed=int(doc.get("seed", 0)), **sim_doc)
+        weights = CostWeights(**_typed(top.get("cost", {}), _field_types(CostWeights, "goal"), "cost"))
+        sim_doc = _typed(top.get("sim", {}), _field_types(SimConfig, "seed"), "sim")
+        spawn = SpawnConfig(**_typed(sim_doc.pop("spawn", {}), _field_types(SpawnConfig), "sim.spawn"))
+        ou = OUParams(**_typed(sim_doc.pop("ou", {}), _field_types(OUParams), "sim.ou"))
+        sim = SimConfig(spawn=spawn, ou=ou, seed=top.get("seed", 0), **sim_doc)
         return PlannerConfig(
             sampler=sampler,
             schedule=schedule,
             predictor=predictor,
             weights=weights,
-            planner=str(doc.get("planner", "tpp")),
-            ncr_worst_case=bool(doc.get("ncr_worst_case", False)),
+            planner=top.get("planner", "tpp"),
+            ncr_worst_case=top.get("ncr_worst_case", False),
             sim=sim,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -355,7 +355,9 @@ def grow_tree(
     The root carries the current state. When feasible children exceed
     max_children, a seeded per-node draw keeps exactly max_children. A stage
     with zero feasible children for every leaf truncates the tree and sets the
-    `truncated` flag.
+    `truncated` flag. Only nodes on a path from the root to the last stage
+    reached are kept, with their ids: a node whose descendants all die out
+    before that stage is dropped.
     """
     dt = schedule.dt
     root_seg = Trajectory(t0=0.0, dt=dt, samples=(root_state,))
@@ -392,6 +394,11 @@ def grow_tree(
             break
         frontier = new_frontier
 
+    live = {n.id for n in frontier}
+    for n in reversed(nodes):  # children come after their parents
+        if n.id in live and n.parent_id is not None:
+            live.add(n.parent_id)
+    nodes = [n for n in nodes if n.id in live]
     tree = TrajectoryTree(nodes=tuple(nodes), schedule=schedule, truncated=truncated)
     tree.validate()
     return tree

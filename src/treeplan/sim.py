@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import plan_ncg, plan_ncr
+from .baselines import path_policy, plan_ncg, plan_ncr
 from .config import (
     AgentSpec,
     OUParams,
@@ -163,10 +163,10 @@ def _leader_info(state: AgentState, others: dict, headway: float):
 
 
 class _PlanState:
-    """The ego's committed plan between replans."""
+    """The ego's committed policy between replans (every planner's plan is a
+    PolicyTable); traj None, before the first plan or after an error, means brake."""
 
     def __init__(self):
-        self.kind = "none"
         self.traj = None  # committed Trajectory, t0 relative to plan_time
         self.plan_time = 0.0
         self.tree = None
@@ -174,8 +174,6 @@ class _PlanState:
         self.policy = None
         self.ego_node = None
         self.scen_path = ()
-        self.path = None  # non-contingent node-id path
-        self.path_pos = 1
         self.plan_id = "none"
 
 
@@ -241,59 +239,43 @@ def run_closed_loop(
                 predictor, scene, tree, pc.schedule, pc.predictor.branching_factor, cfg.seed
             )
             costs = build_cost_tensor_ec(tree, ensemble, lane_map, weights, ego_fp, footprints)
-            plan.tree, plan.ensemble = tree, ensemble
             if planner == "tpp":
                 _, policy = solve_policy_ec(tree, ensemble, costs)
-                plan.policy = policy
-                plan.ego_node = policy.pi[(tree.root_id, ())]
-                plan.scen_path = ()
-                plan.kind = "tpp"
+            elif planner == "ncr":
+                nc = plan_ncr(tree, ensemble, costs, worst_case=pc.ncr_worst_case)
+                policy = path_policy(ensemble, nc.path)
             else:
-                if planner == "ncr":
-                    nc = plan_ncr(tree, ensemble, costs, worst_case=pc.ncr_worst_case)
-                else:
-                    nc = plan_ncg(tree, ensemble, costs)
-                plan.path = nc.path
-                plan.path_pos = 1
-                plan.ego_node = nc.path[1]
-                plan.kind = "nc"
-            seg = tree.node(plan.ego_node).segment
-            plan.traj = seg
-            plan.plan_id = f"{planner}@{t:.1f}:n{plan.ego_node}"
-            return None
+                policy = path_policy(ensemble, plan_ncg(tree, ensemble, costs).path)
         except TreeplanError as exc:
-            plan.kind = "fallback"
+            plan.traj = None
             plan.plan_id = f"fallback@{t:.1f}"
             return str(exc)
+        plan.tree, plan.ensemble, plan.policy = tree, ensemble, policy
+        plan.ego_node = policy.pi[(tree.root_id, ())]
+        plan.scen_path = ()
+        plan.traj = tree.node(plan.ego_node).segment
+        plan.plan_id = f"{planner}@{t:.1f}:n{plan.ego_node}"
+        return None
+
+    def miss(branch) -> float:
+        """Summed distance from the agents now to the branch's predicted ends."""
+        d = 0.0
+        for aid, traj in branch.agent_trajectories.items():
+            if aid in agents:
+                end = traj.end
+                d += math.hypot(end.x - agents[aid].x, end.y - agents[aid].y)
+        return d
 
     def advance_plan(t: float):
-        """At a stage boundary: observe the branch, pick the next segment."""
-        tree = plan.tree
-        cur_node = tree.node(plan.ego_node)
-        if cur_node.stage >= tree.max_stage:
+        """At a stage boundary: observe the nearest branch, follow the policy."""
+        if plan.tree.node(plan.ego_node).stage >= plan.tree.max_stage:
             return replan(t)
-        if plan.kind == "tpp":
-            scen_tree = plan.ensemble.tree_for_ego_node(plan.ego_node)
-            kids = scen_tree.children(plan.scen_path)
-            best, best_d = None, math.inf
-            for child in kids:
-                d = 0.0
-                for aid, traj in child.agent_trajectories.items():
-                    if aid in agents:
-                        end = traj.end
-                        d += math.hypot(end.x - agents[aid].x, end.y - agents[aid].y)
-                if d < best_d:
-                    best, best_d = child, d
-            observed = best.path if best is not None else plan.scen_path + (0,)
-            key = (plan.ego_node, observed)
-            if key not in plan.policy.pi:
-                return replan(t)
-            plan.ego_node = plan.policy.pi[key]
-            plan.scen_path = observed
-        else:
-            plan.path_pos += 1
-            plan.ego_node = plan.path[plan.path_pos]
-        plan.traj = tree.node(plan.ego_node).segment
+        kids = plan.ensemble.tree_for_ego_node(plan.ego_node).children(plan.scen_path)
+        key = (plan.ego_node, min(kids, key=miss).path)
+        if key not in plan.policy.pi:
+            return replan(t)
+        plan.ego_node, plan.scen_path = plan.policy.pi[key], key[1]
+        plan.traj = plan.tree.node(plan.ego_node).segment
         return None
 
     for step in range(n_steps):
@@ -306,12 +288,11 @@ def run_closed_loop(
                 events["planner_error"] = err
 
         # ego advance: move to the next plan segment when this one has run out
-        following = plan.kind != "fallback" and plan.traj is not None
-        if following and t + cfg.sim_dt - plan.plan_time > plan.traj.t_end + 1e-9:
+        if plan.traj is not None and t + cfg.sim_dt - plan.plan_time > plan.traj.t_end + 1e-9:
             err = advance_plan(t + cfg.sim_dt)
             if err is not None:
                 events["planner_error"] = err
-        if plan.kind == "fallback" or plan.traj is None:
+        if plan.traj is None:
             ego = integrate_unicycle(ego, UnicycleInput(a_min, 0.0), cfg.sim_dt, pc.sampler.limits)
         else:
             ego = plan.traj.state_at(t + cfg.sim_dt - plan.plan_time)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .costs import CostTensor
-from .dp import brute_force_value, count_policies, policy_expected_cost, solve_policy, solve_policy_ec
+from .dp import brute_force_value, count_policies, policy_expected_cost, solve_policy
 from .errors import CausalConsistencyViolation
 from .prediction import (
     ECMode,
@@ -96,12 +96,12 @@ def random_dp_instance(rng: np.random.Generator, policy_cap: int = 2000):
             return tree, scenario, costs
 
 
-def run_dp_oracle_suite(n_instances: int = 200, seed: int = 0, tol: float = 1e-9):
-    """solve_policy vs exhaustive enumeration on random instances."""
+def _oracle_suite(make_instance, n_instances: int, seed: int, tol: float):
+    """solve_policy vs exhaustive enumeration on make_instance(rng) draws."""
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(n_instances):
-        tree, scenario, costs = random_dp_instance(rng)
+        tree, scenario, costs = make_instance(rng)
         values, policy = solve_policy(tree, scenario, costs)
         root_v = values.V[(0, ())]
         bf_value, _ = brute_force_value(tree, scenario, costs)
@@ -109,6 +109,11 @@ def run_dp_oracle_suite(n_instances: int = 200, seed: int = 0, tol: float = 1e-9
         if abs(root_v - bf_value) > tol or abs(replayed - bf_value) > tol:
             failures.append((i, root_v, bf_value, replayed))
     return failures
+
+
+def run_dp_oracle_suite(n_instances: int = 200, seed: int = 0, tol: float = 1e-9):
+    """The oracle suite on plain random trees, probabilities and costs."""
+    return _oracle_suite(random_dp_instance, n_instances, seed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +170,8 @@ def random_ec_instance(rng: np.random.Generator, policy_cap: int = 3000):
 
 
 def run_ec_oracle_suite(n_instances: int = 200, seed: int = 1, tol: float = 1e-9):
-    rng = np.random.default_rng(seed)
-    failures = []
-    for i in range(n_instances):
-        tree, ensemble, costs = random_ec_instance(rng)
-        values, policy = solve_policy_ec(tree, ensemble, costs)
-        root_v = values.V[(0, ())]
-        bf_value, _ = brute_force_value(tree, ensemble, costs)
-        replayed = policy_expected_cost(tree, ensemble, costs, policy)
-        if abs(root_v - bf_value) > tol or abs(replayed - bf_value) > tol:
-            failures.append((i, root_v, bf_value, replayed))
-    return failures
+    """The oracle suite on kinematic-predictor ensembles."""
+    return _oracle_suite(random_ec_instance, n_instances, seed, tol)
 
 
 def run_consistency_suite(n_instances: int = 200, seed: int = 2):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from treeplan import plan_ncg, plan_ncr, path_expected_cost
-from treeplan.baselines import most_likely_scenario_path, path_worst_case_cost
-from treeplan.dp import solve_policy
-from treeplan.verify import random_dp_instance
+from treeplan.baselines import _ego_paths, most_likely_scenario_path, path_policy, path_worst_case_cost
+from treeplan.dp import PolicyTable, policy_expected_cost, solve_policy
+from treeplan.verify import random_dp_instance, random_ec_instance
 
 
 class TestWorkedCutIn:
@@ -73,3 +73,56 @@ class TestDominance:
             ncg = plan_ncg(tree, scenario, costs)
             ncg_full = path_expected_cost(tree, scenario, costs, ncg.path)
             assert ncr.expected_cost <= ncg_full + 1e-9
+
+
+def _ref_expected_from(scenario, costs, ego_path, stage, scen_path):
+    """The fixed-path recursion path_expected_cost used before it became a
+    policy_expected_cost call, kept as the bit-for-bit reference."""
+    c = costs.get(ego_path[stage], scen_path)
+    if stage == len(ego_path) - 1:
+        return c
+    total = c
+    for child in scenario.tree_for_ego_node(ego_path[stage + 1]).children(scen_path):
+        total += child.branch_probability * _ref_expected_from(scenario, costs, ego_path, stage + 1, child.path)
+    return total
+
+
+def _instances():
+    """Criterion 5's random instances, then random_ec_instance draws."""
+    rng = np.random.default_rng(55)
+    for _ in range(200):
+        yield random_dp_instance(rng)
+    rng = np.random.default_rng(1)
+    for _ in range(40):
+        yield random_ec_instance(rng)
+
+
+class _RecordingPi(dict):
+    def __init__(self, pi):
+        super().__init__(pi)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestPathPolicy:
+    def test_keys_are_the_pairs_policy_expected_cost_visits(self):
+        for tree, scenario, costs in _instances():
+            for ego_path in _ego_paths(tree):
+                policy = path_policy(scenario, ego_path)
+                assert set(policy.pi.values()) <= set(ego_path[1:])
+                pi = _RecordingPi(policy.pi)
+                policy_expected_cost(tree, scenario, costs, PolicyTable(pi=pi))
+                assert pi.read == set(policy.pi)
+
+    def test_path_expected_cost_matches_the_fixed_path_recursion(self):
+        for tree, scenario, costs in _instances():
+            for ego_path in _ego_paths(tree):
+                got = path_expected_cost(tree, scenario, costs, ego_path)
+                assert got.hex() == _ref_expected_from(scenario, costs, ego_path, 0, ()).hex()
+
+    def test_worked_cut_in_path_ignores_the_branch(self, cutin_instance):
+        tree, make_scenario, _ = cutin_instance
+        assert path_policy(make_scenario(0.5, 0.5), (0, 1, 3)).pi == {(0, ()): 1, (1, (0,)): 3, (1, (1,)): 3}

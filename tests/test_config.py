@@ -124,6 +124,56 @@ def test_planner_config_rejects_value_the_planner_cannot_run(case):
         parse_planner_config(_edit(CONFIG, path, key, value))
 
 
+TYPE_REJECTIONS = {
+    "bool_as_string": ((), "ncr_worst_case", "false"),
+    "bool_as_integer": ((), "ncr_worst_case", 0),
+    "spawn_enabled_string": (("sim", "spawn"), "enabled", "no"),
+    "int_as_float": (("schedule",), "num_stages", 2.5),
+    "int_as_whole_float": (("sampler",), "max_children", 2.0),
+    "int_as_bool": (("predictor",), "branching_factor", True),
+    "max_children_fraction": (("sampler",), "max_children", 2.7),
+    "branching_factor_fraction": (("predictor",), "branching_factor", 2.5),
+    "seed_string": ((), "seed", "0"),
+    "max_agents_fraction": (("sim", "spawn"), "max_agents", 1.5),
+    "grid_string": (("sampler",), "accel_grid", "abc"),
+    "grid_of_strings": (("sampler",), "yaw_rate_grid", ["0.1"]),
+    "grid_of_bools": (("sampler",), "speed_grid", [True]),
+    "grid_number": (("sampler",), "lateral_offsets", 1.0),
+    "float_string": (("sim", "ou"), "sigma", "0.2"),
+    "float_bool": (("limits",), "v_max", True),
+    "float_null": (("cost",), "w_goal", None),
+    "prior_string": (("predictor",), "maintain_prior", "0.7"),
+    "b_decel_string": (("predictor",), "b_decel", "4"),
+    "sim_dt_list": (("sim",), "sim_dt", [0.1]),
+    "stage_duration_string": (("schedule",), "stage_duration", "2"),
+    "planner_number": ((), "planner", 1),
+    "predictor_kind_number": (("predictor",), "kind", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPE_REJECTIONS))
+def test_planner_config_rejects_value_of_the_wrong_type(case):
+    path, key, value = TYPE_REJECTIONS[case]
+    with pytest.raises(ScenarioError, match=f"{key} must be"):
+        parse_planner_config(_edit(CONFIG, path, key, value))
+
+
+@pytest.mark.parametrize("maintain, brake", [(0.7, -0.7), (-0.1, 0.3), (0.0, 0.0)])
+def test_planner_config_rejects_priors_without_positive_sum(maintain, brake):
+    doc = _edit(_edit(CONFIG, ("predictor",), "maintain_prior", maintain), ("predictor",), "brake_prior", brake)
+    with pytest.raises(ScenarioError, match="prior"):
+        parse_planner_config(doc)
+
+
+def test_planner_config_takes_integers_as_floats():
+    doc = _edit(_edit(CONFIG, ("predictor",), "b_decel", 4), ("predictor",), "brake_prior", 0)
+    cfg = parse_planner_config(_edit(_edit(doc, ("sampler",), "accel_grid", [-2, 0, 2]), ("sim",), "total_duration", 4))
+    assert cfg.predictor.b_decel == 4.0 and type(cfg.predictor.b_decel) is float
+    assert cfg.predictor.brake_prior == 0.0 and cfg.predictor.maintain_prior == 0.7
+    assert cfg.sampler.accel_grid == (-2.0, 0.0, 2.0) and all(type(a) is float for a in cfg.sampler.accel_grid)
+    assert type(cfg.sim.total_duration) is float
+
+
 SCENARIO_REJECTIONS = {
     "top_level": ((), "author", "x"),
     "map": (("map",), "crs", "utm"),
@@ -191,6 +241,16 @@ def test_scenario_rejects_cut_in_the_simulator_cannot_run(case):
         parse_scenario(_with_behavior(behavior))
 
 
+@pytest.mark.parametrize("kind", ["cutin", "Cut_In", "lane-follow", "", None, 1])
+def test_scenario_rejects_unknown_behavior_kind(kind):
+    with pytest.raises(ScenarioError, match="lead: unknown behavior kind"):
+        parse_scenario(_with_behavior({"kind": kind, "target_lane": "L0"}))
+
+
+def test_missing_behavior_kind_is_lane_following():
+    assert parse_scenario(_with_behavior({"target_speed": 5.0, "note": "x"})).agents[0].behavior["note"] == "x"
+
+
 def test_target_speed_checked_for_every_kind():
     with pytest.raises(ScenarioError, match="target_speed"):
         parse_scenario(_with_behavior({"kind": "lane_follow", "target_speed": "fast"}))
@@ -213,6 +273,15 @@ def test_cli_rejects_unknown_key(tmp_path):
 
 def test_cli_rejects_zero_replan_period(tmp_path):
     _assert_cli_rejects(tmp_path, _edit(CONFIG, ("sim",), "replan_period", 0.0))
+
+
+@pytest.mark.parametrize("path, key, value", [((), "ncr_worst_case", "false"), (("predictor",), "b_decel", "4")])
+def test_cli_rejects_value_of_the_wrong_type(tmp_path, path, key, value):
+    _assert_cli_rejects(tmp_path, _edit(CONFIG, path, key, value))
+
+
+def test_cli_rejects_misspelt_behavior_kind(tmp_path):
+    _assert_cli_rejects(tmp_path, CONFIG, _with_behavior({**CUT_IN, "kind": "cutin"}))
 
 
 def test_cli_rejects_off_grid_total_duration(tmp_path):

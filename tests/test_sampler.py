@@ -20,7 +20,10 @@ from treeplan import (
     project_to_lane,
 )
 from treeplan import sampler
+from treeplan.costs import CostWeights, build_cost_tensor_ec
+from treeplan.dp import brute_force_value, solve_policy
 from treeplan.errors import DegenerateDuration
+from treeplan.prediction import KinematicPredictor, Scene, predict_ensemble
 from treeplan.sampler import TreeNode, TrajectoryTree, sample_terminals, segment_feasible, spline_to_trajectory
 from treeplan.verify import spline_residual
 from treeplan.world import wrap_angle
@@ -327,3 +330,44 @@ class TestTreeStageIndex:
         tree.stage_nodes(1).append(nodes[0])
         assert [n.id for n in tree.leaves()] == [4, 3, 5]
         assert [n.id for n in tree.stage_nodes(1)] == [2, 1]
+
+
+class TestNoDeadEnds:
+    """A node whose children all fail feasibility is dropped with its
+    subtree, so the policy has a choice at every pair below the last stage."""
+
+    SAMPLER = SamplerConfig(
+        accel_grid=(2.0, 4.0), yaw_rate_grid=(-0.9, 0.0), speed_grid=(), lateral_offsets=(), max_children=3,
+        limits=DynamicsLimits(v_max=15.486833383269612, kappa_max=0.19797569580352764),
+    )
+
+    def test_dead_end_stage_1_node_is_dropped(self):
+        schedule = StageSchedule.uniform(2, 2.0)
+        tree = grow_tree(AgentState(0.0, 0.0, 6.806477147613328, 0.0), None, schedule, self.SAMPLER, 84)
+        assert not tree.truncated and tree.max_stage == 2
+        assert [n.id for n in tree.nodes] == [0, 1, 3]  # node 2 had no feasible child; ids stay
+        for n in tree.nodes:
+            assert n.stage == tree.max_stage or tree.children(n.id)
+
+        scene = Scene(agents={"a0": AgentState(30.0, 0.0, 5.0, 0.0)})
+        ensemble = predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, schedule, 2, 84)
+        costs = build_cost_tensor_ec(tree, ensemble, None, CostWeights())
+        values, policy = solve_policy(tree, ensemble, costs)
+        bf_value, _ = brute_force_value(tree, ensemble, costs)
+        assert bf_value == values.V[(0, ())]
+        assert None not in policy.pi.values()
+
+    def test_every_kept_node_reaches_the_last_stage(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):  # four of these draws grow a node with no feasible child
+            cfg = SamplerConfig(
+                accel_grid=tuple(rng.choice([-4.0, -2.0, 0.0, 2.0, 4.0], size=2, replace=False)),
+                yaw_rate_grid=tuple(rng.choice([-0.9, -0.3, 0.0, 0.3, 0.9], size=2, replace=False)),
+                speed_grid=(), lateral_offsets=(), max_children=int(rng.integers(1, 4)),
+                limits=DynamicsLimits(v_max=float(rng.uniform(8.0, 20.0)), kappa_max=float(rng.uniform(0.05, 0.3))),
+            )
+            root = AgentState(0.0, 0.0, float(rng.uniform(2.0, 12.0)), 0.0)
+            schedule = StageSchedule.uniform(int(rng.integers(1, 4)), 2.0)
+            tree = grow_tree(root, None, schedule, cfg, int(rng.integers(100)))
+            for n in tree.nodes:
+                assert n.stage == tree.max_stage or tree.children(n.id)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from treeplan import AgentState, run_closed_loop
+from treeplan import AgentState, SamplerConfig, UnicycleInput, integrate_unicycle, run_closed_loop
 from treeplan.config import (
     OUParams,
     PlannerConfig,
@@ -14,6 +14,7 @@ from treeplan.config import (
     SpawnConfig,
     load_scenario,
     parse_scenario,
+    state_to_dict,
 )
 from treeplan.errors import ScenarioError
 from treeplan.sim import agent_policy_step, ou_step
@@ -233,7 +234,7 @@ class TestStageAdvance:
         import treeplan.sim as sim
         from treeplan.dp import PolicyTable
 
-        seen = {"trees": [], "ensembles": [], "policies": [], "paths": []}
+        seen = {"trees": [], "ensembles": [], "policies": [], "ncr": [], "ncg": []}
 
         def record(name, fn, key=None):
             def wrapped(*args, **kwargs):
@@ -253,8 +254,8 @@ class TestStageAdvance:
         solve_policy = sim.solve_policy_ec
         record("trees", sim.grow_tree)
         record("ensembles", sim.predict_ensemble)
-        record("paths", sim.plan_ncr, key=lambda nc: nc.path)
-        record("paths", sim.plan_ncg, key=lambda nc: nc.path)
+        record("ncr", sim.plan_ncr, key=lambda nc: nc.path)
+        record("ncg", sim.plan_ncg, key=lambda nc: nc.path)
         monkeypatch.setattr(sim, "solve_policy_ec", solve)
 
         scenario = parse_scenario(_scenario_doc([agent]))
@@ -305,10 +306,66 @@ class TestStageAdvance:
     @pytest.mark.parametrize("planner", ["ncr", "ncg"])
     def test_non_contingent_planners_advance_along_their_path(self, monkeypatch, planner):
         trace, seen = self._run(monkeypatch, planner, _lead_agent(x=20.0, y=3.5, v=10.0, behavior=self.BRAKE))
-        assert len(seen["trees"]) == 1 and len(seen["paths"]) == 1
-        path = seen["paths"][0]
+        other = {"ncr": "ncg", "ncg": "ncr"}[planner]
+        assert len(seen["trees"]) == 1 and len(seen[planner]) == 1 and not seen[other]
+        path = seen[planner][0]
         self._assert_follows(trace, seen["trees"][0].node(path[2]).segment)
         assert {s["plan_id"] for s in trace.steps} == {trace.steps[0]["plan_id"]}
+
+
+class TestPlannerFallback:
+    """A tree that stops short of the horizon is a planner error: the ego
+    then has no committed segment, brakes at a_min and runs no advance."""
+
+    @pytest.mark.parametrize("planner", ["tpp", "ncr", "ncg"])
+    def test_truncated_tree_brakes_until_the_next_replan(self, monkeypatch, planner):
+        import treeplan.sim as sim
+
+        grown = []
+        grow = sim.grow_tree
+
+        def counted(*args, **kwargs):
+            grown.append(grow(*args, **kwargs))
+            return grown[-1]
+
+        monkeypatch.setattr(sim, "grow_tree", counted)
+        pc = PlannerConfig(sampler=SamplerConfig(accel_grid=(), speed_grid=(), lateral_offsets=()))
+        scenario = parse_scenario(_scenario_doc([_lead_agent(x=20.0, y=3.5)]))
+        trace = run_closed_loop(scenario, planner, SimConfig(total_duration=6.0, replan_period=2.0), pc)
+
+        assert len(grown) == 3 and all(tree.truncated for tree in grown)  # the replans only, no advance
+        ego = scenario.ego_state
+        for step, rec in enumerate(trace.steps):
+            assert rec["plan_id"] == f"fallback@{2.0 * (step // 20):.1f}"
+            assert ("planner_error" in rec["events"]) == (step % 20 == 0)
+            ego = integrate_unicycle(ego, UnicycleInput(pc.sampler.limits.a_min, 0.0), 0.1, pc.sampler.limits)
+            assert rec["ego"] == state_to_dict(ego)
+        assert trace.steps[0]["ego"]["v"] == pytest.approx(10.0 - 0.6) and ego.v == 0.0
+
+    def test_error_after_a_plan_drops_the_committed_segment(self, monkeypatch):
+        import treeplan.sim as sim
+
+        roots = []
+        grow = sim.grow_tree
+
+        def second_truncates(root, lane_map, schedule, config, seed):
+            roots.append(root)
+            if len(roots) == 2:
+                config = SamplerConfig(accel_grid=(), speed_grid=(), lateral_offsets=())
+            return grow(root, lane_map, schedule, config, seed)
+
+        monkeypatch.setattr(sim, "grow_tree", second_truncates)
+        pc = PlannerConfig()
+        scenario = parse_scenario(_scenario_doc([_lead_agent(x=20.0, y=3.5)]))
+        trace = run_closed_loop(scenario, "tpp", SimConfig(total_duration=8.0, replan_period=4.0), pc)
+
+        assert len(roots) == 2
+        assert trace.steps[39]["plan_id"].startswith("tpp@0.0:")
+        ego = AgentState(**trace.steps[39]["ego"])
+        for rec in trace.steps[40:]:
+            assert rec["plan_id"] == "fallback@4.0"
+            ego = integrate_unicycle(ego, UnicycleInput(pc.sampler.limits.a_min, 0.0), 0.1, pc.sampler.limits)
+            assert rec["ego"] == state_to_dict(ego)
 
 
 class TestNoReferenceCycles:
