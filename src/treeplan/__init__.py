@@ -31,7 +31,6 @@ from .prediction import (
     ScenarioTree,
     flatten_ec_modes,
     predict_ensemble,
-    predict_scenario_tree,
     validate_causal_consistency,
 )
 from .costs import CostTensor, CostWeights, build_cost_tensor, build_cost_tensor_ec

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .costs import CostWeights
@@ -35,9 +36,17 @@ def _keys(doc, allowed, where: str) -> dict:
     return doc
 
 
+def _finite(where: str, *values) -> tuple:
+    """values as floats, after checking that each is finite."""
+    out = tuple(map(float, values))
+    if not all(map(math.isfinite, out)):
+        raise ScenarioError(f"{where} needs finite numbers, got {list(values)}")
+    return out
+
+
 def _state_from(d: dict) -> AgentState:
     _keys(d, ("x", "y", "v", "psi"), "state")
-    return AgentState(x=float(d["x"]), y=float(d["y"]), v=float(d["v"]), psi=float(d["psi"]))
+    return AgentState(*_finite("state", d["x"], d["y"], d["v"], d["psi"]))
 
 
 def state_to_dict(s: AgentState) -> dict:
@@ -46,7 +55,7 @@ def state_to_dict(s: AgentState) -> dict:
 
 def _footprint_from(d: dict) -> Footprint:
     _keys(d, ("length", "width"), "footprint")
-    return Footprint(length=float(d["length"]), width=float(d["width"]))
+    return Footprint(*_finite("footprint", d["length"], d["width"]))
 
 
 _BEHAVIOR_KINDS = ("lane_follow", "cut_in")
@@ -107,8 +116,12 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
                     successors=tuple(l.get("successors", ())),
                 )
             )
+        if not map_doc["drivable_area"]:
+            raise ScenarioError("map needs at least one drivable-area polygon")
         lane_map = LaneGraph(lanes=tuple(lanes), drivable_area=tuple(map_doc["drivable_area"]))
         ego = _keys(doc["ego"], ("state", "footprint", "goal"), "ego")
+        if not isinstance(ego["goal"], (list, tuple)) or len(ego["goal"]) != 2:
+            raise ScenarioError(f"ego goal must be two numbers, got {ego['goal']!r}")
         agents = []
         seen = set()
         for a in doc.get("agents", ()):
@@ -130,7 +143,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
             lane_map=lane_map,
             ego_state=_state_from(ego["state"]),
             ego_footprint=_footprint_from(ego["footprint"]),
-            goal=(float(ego["goal"][0]), float(ego["goal"][1])),
+            goal=_finite("ego goal", *ego["goal"]),
             agents=tuple(agents),
             raw=doc,
         )

@@ -50,13 +50,11 @@ def kde_coverage(
     # grid anchored at the global origin so extended traces reuse cell centers
     gx = cell * np.arange(math.floor(x0 / cell), math.ceil(x1 / cell) + 1)
     gy = cell * np.arange(math.floor(y0 / cell), math.ceil(y1 / cell) + 1)
-    xx, yy = np.meshgrid(gx, gy)
-    grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
     norm = 1.0 / (2.0 * math.pi * bandwidth**2)
-    density = np.zeros(len(grid))
-    for chunk in np.array_split(pts, max(1, len(pts) // 256)):
-        d2 = ((grid[:, None, :] - chunk[None, :, :]) ** 2).sum(axis=2)
-        density += norm * np.exp(-d2 / (2.0 * bandwidth**2)).sum(axis=1)
+    # the kernel factors into x and y parts, so the (y, x) grid density is one product
+    ex = np.exp(-((gx[None, :] - pts[:, :1]) ** 2) / (2.0 * bandwidth**2))
+    ey = np.exp(-((gy[None, :] - pts[:, 1:]) ** 2) / (2.0 * bandwidth**2))
+    density = norm * (ey.T @ ex)
     return int(np.count_nonzero(density >= threshold))
 
 

@@ -2,10 +2,11 @@
 
 A predictor expands one stage at a time given the agents' states at the
 start of that stage and the ego's conditioned motion through it. Flattening
-the ego tree yields the conditioning modes; per mode, a scenario tree is built
-node by node, each expansion keyed by (seed, stage, scenario path, ego prefix),
-so that modes agreeing through stage i produce identical trees through stage i
-(causal consistency).
+the ego tree yields the conditioning modes. Each (ego prefix, scenario path)
+is expanded once, keyed by (seed, stage, scenario path, ego prefix), and
+every mode's scenario tree holds the nodes of the ego nodes on its path, so
+modes agreeing through stage i share their trees through stage i (causal
+consistency).
 """
 
 from __future__ import annotations
@@ -124,60 +125,6 @@ def flatten_ec_modes(tree: TrajectoryTree) -> list:
     return modes
 
 
-def predict_scenario_tree(
-    predictor,
-    scene: Scene,
-    mode: ECMode,
-    schedule: StageSchedule,
-    branching_factor: int,
-    seed: int,
-    rollouts: dict,
-) -> ScenarioTree:
-    """Stage-by-stage scenario tree conditioned on one ego mode.
-
-    Each node's expansion sees only the agents' states at the node's end and
-    the ego motion through the current stage, never the ego's later stages.
-    `rollouts` is handed to every `predict_stage` call unchanged.
-    """
-    if branching_factor < 1:
-        raise ValueError("branching_factor must be >= 1")
-    root = ScenarioNode(
-        path=(),
-        stage=0,
-        agent_trajectories={
-            aid: Trajectory(t0=0.0, dt=schedule.dt, samples=(state,)) for aid, state in sorted(scene.agents.items())
-        },
-        branch_probability=1.0,
-    )
-    nodes = {(): root}
-    frontier = [root]
-    n_stages = min(schedule.num_stages, len(mode.ego_path) - 1)
-    for stage in range(1, n_stages + 1):
-        ego_seg = mode.ego_segments[stage]
-        ego_prefix = mode.ego_path[: stage + 1]
-        new_frontier = []
-        for node in frontier:
-            # equal keys exactly when (stage, scenario path, ego prefix) are equal
-            key = (seed, stage, node.path, ego_prefix)
-            states = {aid: traj.end for aid, traj in node.agent_trajectories.items()}
-            try:
-                hypotheses = predictor.predict_stage(states, ego_seg, stage, key, rollouts)
-            except Exception as exc:  # noqa: BLE001 - context re-raise
-                raise PredictorFailure(stage, node.path, exc) from exc
-            _check_hypotheses(hypotheses, branching_factor, node, stage)
-            for j, (trajs, prob) in enumerate(hypotheses):
-                child = ScenarioNode(
-                    path=node.path + (j,),
-                    stage=stage,
-                    agent_trajectories=dict(trajs),
-                    branch_probability=float(prob),
-                )
-                nodes[child.path] = child
-                new_frontier.append(child)
-        frontier = new_frontier
-    return ScenarioTree(nodes=nodes, schedule=schedule)
-
-
 def _check_hypotheses(hypotheses, branching_factor: int, node: ScenarioNode, stage: int):
     """Raise PredictorFailure unless the expansion of `node` gave 1 to
     branching_factor hypotheses whose probabilities lie in [0, 1] and sum to
@@ -256,22 +203,45 @@ def predict_ensemble(
     branching_factor: int,
     seed: int,
 ) -> ECPredictionEnsemble:
-    """Flatten the ego tree, predict per mode, and validate consistency.
+    """One scenario tree per flattened ego mode, each scenario node expanded once.
 
-    One rollout table serves every mode of this call and is dropped with it:
-    agent motion does not depend on the ego, so modes sharing an agent state
-    share its rollout, and nothing outlives the call.
+    At stage s, each ego node expands every stage-(s-1) scenario node of its
+    parent from those nodes' end states and its own segment, never a later
+    one; the children are its stage-s nodes, shared by every mode through it.
+    One rollout table serves the whole call and is dropped with it. The
+    result is validated for causal consistency.
     """
-    modes = flatten_ec_modes(tree)
-    trees = {}
+    if branching_factor < 1:
+        raise ValueError("branching_factor must be >= 1")
+    start = {aid: Trajectory(t0=0.0, dt=schedule.dt, samples=(s,)) for aid, s in sorted(scene.agents.items())}
     rollouts: dict = {}
-    # modes are independent given the rng keying; the shared table only spares repeated rollouts
-    for mode in modes:
-        if getattr(predictor, "conditions_on_full_mode", False):
-            predictor.set_mode(mode)
-        trees[mode.mode_id] = predict_scenario_tree(
-            predictor, scene, mode, schedule, branching_factor, seed, rollouts
+    # ego node id -> its stage's scenario nodes, in path order
+    scen_nodes = {tree.root_id: [ScenarioNode(path=(), stage=0, agent_trajectories=start, branch_probability=1.0)]}
+    for stage in range(1, schedule.num_stages + 1):
+        for ego in tree.stage_nodes(stage):
+            ego_prefix = tree.path_to(ego.id)
+            children = scen_nodes[ego.id] = []
+            for node in scen_nodes[ego.parent_id]:
+                # equal keys exactly when (stage, scenario path, ego prefix) are equal
+                key = (seed, stage, node.path, ego_prefix)
+                states = {aid: traj.end for aid, traj in node.agent_trajectories.items()}
+                try:
+                    hypotheses = predictor.predict_stage(states, ego.segment, stage, key, rollouts)
+                except Exception as exc:  # noqa: BLE001 - context re-raise
+                    raise PredictorFailure(stage, node.path, exc) from exc
+                _check_hypotheses(hypotheses, branching_factor, node, stage)
+                children += [
+                    ScenarioNode(node.path + (j,), stage, dict(trajs), float(prob))
+                    for j, (trajs, prob) in enumerate(hypotheses)
+                ]
+    modes = flatten_ec_modes(tree)
+    trees = {
+        mode.mode_id: ScenarioTree(
+            nodes={n.path: n for ego_id in mode.ego_path[: schedule.num_stages + 1] for n in scen_nodes[ego_id]},
+            schedule=schedule,
         )
+        for mode in modes
+    }
     ensemble = ECPredictionEnsemble(modes=tuple(modes), trees=trees)
     validate_causal_consistency(ensemble)
     return ensemble
@@ -325,7 +295,7 @@ class KinematicPredictor:
         maintain and 1 for brake. Hypotheses come out by descending
         probability, ties by descending index, which is the lexicographic
         order of the labels ("brake" before "maintain"). Only the kept
-        indices become dicts. `predict_scenario_tree` checks the output.
+        indices become dicts. `predict_ensemble` checks the output.
         """
         del stage, rng_key  # deterministic model
         t0, duration, dt = ego_segment.t0, ego_segment.duration, ego_segment.dt

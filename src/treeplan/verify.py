@@ -7,7 +7,7 @@ generators are seeded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -15,12 +15,14 @@ from .costs import CostTensor
 from .dp import brute_force_value, count_policies, policy_expected_cost, solve_policy
 from .errors import CausalConsistencyViolation
 from .prediction import (
-    ECMode,
+    ECPredictionEnsemble,
     KinematicPredictor,
     Scene,
     ScenarioNode,
     ScenarioTree,
+    flatten_ec_modes,
     predict_ensemble,
+    validate_causal_consistency,
 )
 from .sampler import (
     SamplerConfig,
@@ -202,31 +204,33 @@ def run_consistency_suite(n_instances: int = 200, seed: int = 2):
 
 @dataclass
 class FuturePeekingPredictor(KinematicPredictor):
-    """Breaks consistency on purpose: output depends on the ego path's end."""
+    """Breaks consistency on purpose: output depends on `future_end`, the end
+    of the whole ego path it is bound to."""
 
-    conditions_on_full_mode: bool = True
-
-    def set_mode(self, mode: ECMode):
-        self._mode_end = mode.ego_segments[-1].end
+    future_end: AgentState = field(kw_only=True)
 
     def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
         hypotheses = super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
         # leak: shift every prediction by a function of the full ego future
-        shift = 0.01 * self._mode_end.x
-        out = []
-        for trajs, prob in hypotheses:
-            shifted = {
-                aid: type(t)(
-                    t0=t.t0,
-                    dt=t.dt,
-                    samples=tuple(
-                        type(s)(s.x + shift, s.y, s.v, s.psi) for s in t.samples
-                    ),
-                )
-                for aid, t in trajs.items()
-            }
-            out.append((shifted, prob))
-        return out
+        shift = 0.01 * self.future_end.x
+
+        def shifted(t):
+            return Trajectory(t.t0, t.dt, tuple(AgentState(s.x + shift, s.y, s.v, s.psi) for s in t.samples))
+
+        return [({aid: shifted(t) for aid, t in trajs.items()}, prob) for trajs, prob in hypotheses]
+
+
+def predict_per_mode(make_predictor, scene, tree, schedule, branching_factor: int, seed: int):
+    """An ensemble predicted one mode at a time, each on the tree of its ego
+    path alone by make_predictor(mode), so the predictor may see the whole
+    mode. The assembled ensemble is not validated."""
+    modes = flatten_ec_modes(tree)
+    trees = {}
+    for mode in modes:
+        path_tree = TrajectoryTree(nodes=tuple(map(tree.node, mode.ego_path)), schedule=tree.schedule)
+        single = predict_ensemble(make_predictor(mode), scene, path_tree, schedule, branching_factor, seed)
+        trees[mode.mode_id] = single.trees[0]
+    return ECPredictionEnsemble(modes=modes, trees=trees)
 
 
 def make_shared_prefix_tree(dt: float = 0.1) -> tuple:
@@ -250,12 +254,15 @@ def make_shared_prefix_tree(dt: float = 0.1) -> tuple:
 
 
 def run_adversarial_consistency_case(seed: int = 3) -> bool:
-    """True when the whole-future-peeking predictor is caught by validation."""
+    """True when validation catches the whole-future-peeking predictor at stage <= 1."""
     tree, schedule = make_shared_prefix_tree()
     scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
-    predictor = FuturePeekingPredictor(branching_factor=2)
+    ensemble = predict_per_mode(
+        lambda mode: FuturePeekingPredictor(branching_factor=2, future_end=mode.ego_segments[-1].end),
+        scene, tree, schedule, 2, seed,
+    )
     try:
-        predict_ensemble(predictor, scene, tree, schedule, 2, seed)
+        validate_causal_consistency(ensemble)
     except CausalConsistencyViolation as exc:
         return exc.stage <= 1
     return False

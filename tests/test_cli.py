@@ -141,6 +141,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "dp-oracle: PASS" in out
 
+    def test_causal_consistency_suite(self, capsys):
+        code = main(["verify", "--suite", "causal-consistency", "--instances", "20"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "causal-consistency: PASS" in out and "adversarial caught: True" in out
+
     def test_spline_suite(self, capsys):
         code = main(["verify", "--suite", "spline"])
         assert code == EXIT_OK

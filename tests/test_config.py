@@ -291,3 +291,41 @@ def test_cli_rejects_off_grid_total_duration(tmp_path):
 @pytest.mark.parametrize("key, value", [("target_lane", "nope"), ("brake_decel", "hard")])
 def test_cli_rejects_cut_in_the_simulator_cannot_run(tmp_path, key, value):
     _assert_cli_rejects(tmp_path, CONFIG, _with_behavior({**CUT_IN, key: value}))
+
+
+NAN, INF = float("nan"), float("inf")
+# each edit leaves a scenario the simulator cannot run: (path, key, value, piece of the message)
+SCENARIO_MALFORMED = {
+    "goal_one_number": (("ego",), "goal", [5.0], "two numbers"),
+    "goal_three_numbers": (("ego",), "goal", [5, 1, 3], "two numbers"),
+    "goal_empty": (("ego",), "goal", [], "two numbers"),
+    "goal_a_number": (("ego",), "goal", 5.0, "two numbers"),
+    "goal_nan": (("ego",), "goal", [NAN, 0.0], "finite"),
+    "goal_infinite": (("ego",), "goal", [90.0, -INF], "finite"),
+    "goal_not_numbers": (("ego",), "goal", ["far", "away"], "invalid scenario"),
+    "no_drivable_polygon": (("map",), "drivable_area", [], "drivable-area polygon"),
+    "ego_x_nan": (("ego", "state"), "x", NAN, "finite"),
+    "ego_speed_infinite": (("ego", "state"), "v", INF, "finite"),
+    "agent_x_nan": (("agents", 0, "state"), "x", NAN, "finite"),
+    "agent_heading_nan": (("agents", 0, "state"), "psi", NAN, "finite"),
+    "ego_length_nan": (("ego", "footprint"), "length", NAN, "finite"),
+    "agent_width_infinite": (("agents", 0, "footprint"), "width", INF, "finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_MALFORMED))
+def test_scenario_rejects_what_the_simulator_cannot_run(case):
+    path, key, value, message = SCENARIO_MALFORMED[case]
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(_edit(SCENARIO, path, key, value))
+
+
+def test_scenario_goal_is_two_floats():
+    assert parse_scenario(_edit(SCENARIO, ("ego",), "goal", [90, 1])).goal == (90.0, 1.0)
+    assert all(type(g) is float for g in parse_scenario(SCENARIO).goal)
+
+
+@pytest.mark.parametrize("case", ["goal_one_number", "goal_three_numbers", "no_drivable_polygon", "agent_x_nan"])
+def test_cli_rejects_malformed_scenario(tmp_path, case):
+    path, key, value, _ = SCENARIO_MALFORMED[case]
+    _assert_cli_rejects(tmp_path, CONFIG, _edit(SCENARIO, path, key, value))

@@ -20,7 +20,6 @@ from treeplan import (
     plan_ncr,
     policy_expected_cost,
     predict_ensemble,
-    predict_scenario_tree,
 )
 from treeplan.dp import count_policies, solve_policy, solve_policy_ec
 from treeplan.errors import StructureError
@@ -136,8 +135,9 @@ class TestOneScenarioInterface:
             lane_map=two_lane_map,
         )
         predictor = KinematicPredictor(lane_map=two_lane_map, branching_factor=4)
-        modes = predict_ensemble(predictor, scene, tree, schedule, 4, 5).modes
-        shared = predict_scenario_tree(predictor, scene, modes[-1], schedule, 4, 5, {})
+        per_mode = predict_ensemble(predictor, scene, tree, schedule, 4, 5)
+        modes = per_mode.modes
+        shared = per_mode.trees[modes[-1].mode_id]
         ensemble = ECPredictionEnsemble(modes=modes, trees={m.mode_id: shared for m in modes})
         assert ensemble.max_stage == shared.max_stage
         weights = CostWeights(goal=(200.0, 0.0))

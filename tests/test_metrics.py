@@ -98,6 +98,38 @@ class TestCoverage:
         with pytest.raises(ValueError):
             kde_coverage(_trace([(0, 0)]), bandwidth=0.0)
 
+    def test_separable_density_counts_the_cells_of_the_full_grid(self):
+        """The separable density clears the threshold on exactly the cells
+        the (cells x points x 2) body found, on random walks and scatters."""
+        rng = np.random.default_rng(11)
+        for k in range(60):
+            n = int(rng.integers(1, 400))
+            if k % 2:
+                pts = rng.uniform(-40, 40, size=(n, 2))
+            else:
+                pts = np.cumsum(rng.normal(0.0, 0.8, size=(n, 2)) + [0.6, 0.0], axis=0)
+            trace = _trace(pts)
+            bandwidth = float(rng.choice([DEFAULT_BANDWIDTH, 0.7, 3.5]))
+            assert kde_coverage(trace, bandwidth) == _ref_kde_coverage(trace, bandwidth)
+
+
+def _ref_kde_coverage(trace, bandwidth=DEFAULT_BANDWIDTH, cell=DEFAULT_CELL, threshold=DEFAULT_THRESHOLD):
+    """kde_coverage as it was: every (cell, point) distance summed in chunks."""
+    pts = np.array(sorted({(s["ego"]["x"], s["ego"]["y"]) for s in trace.steps}))
+    pad = 3.0 * bandwidth
+    x0, y0 = pts.min(axis=0) - pad
+    x1, y1 = pts.max(axis=0) + pad
+    gx = cell * np.arange(math.floor(x0 / cell), math.ceil(x1 / cell) + 1)
+    gy = cell * np.arange(math.floor(y0 / cell), math.ceil(y1 / cell) + 1)
+    xx, yy = np.meshgrid(gx, gy)
+    grid = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    norm = 1.0 / (2.0 * math.pi * bandwidth**2)
+    density = np.zeros(len(grid))
+    for chunk in np.array_split(pts, max(1, len(pts) // 256)):
+        d2 = ((grid[:, None, :] - chunk[None, :, :]) ** 2).sum(axis=2)
+        density += norm * np.exp(-d2 / (2.0 * bandwidth**2)).sum(axis=1)
+    return int(np.count_nonzero(density >= threshold))
+
 
 class TestAdeFde:
     def _tree(self, offsets):

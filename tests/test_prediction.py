@@ -34,6 +34,7 @@ from treeplan.world import lane_points_at_batch
 from treeplan.verify import (
     FuturePeekingPredictor,
     make_shared_prefix_tree,
+    predict_per_mode,
     random_scene,
     run_adversarial_consistency_case,
 )
@@ -305,16 +306,12 @@ class TestRolloutTable:
 
 @dataclass
 class _Recording(KinematicPredictor):
-    """Records every expansion's mode, key and states, in call order."""
+    """Records every expansion's stage, key and states, in call order."""
 
-    conditions_on_full_mode = True
     calls: list = field(default_factory=list)
 
-    def set_mode(self, mode):
-        self._mode = mode
-
     def predict_stage(self, states, ego_segment, stage, rng_key, rollouts):
-        self.calls.append((self._mode, stage, rng_key, dict(states)))
+        self.calls.append((stage, rng_key, dict(states)))
         return super().predict_stage(states, ego_segment, stage, rng_key, rollouts)
 
 
@@ -322,41 +319,62 @@ class TestExpansion:
     """The key and the states each expansion hands the predictor."""
 
     @staticmethod
-    def _expansions():
-        """(key, stage, scenario path, ego prefix, states, scenario tree) per
-        expansion of a 3-stage, 8-mode ensemble with two agents."""
-        tree = _structural_tree(3, 2)
+    def _recorded(num_stages=3, branch=2):
+        """(tree, scene, ensemble, calls) of an ensemble with two agents."""
+        tree = _structural_tree(num_stages, branch)
         scene = Scene(agents={"a": AgentState(10.0, 0.0, 5.0, 0.0), "b": AgentState(20.0, 3.0, 4.0, 0.0)})
         pred = _Recording(branching_factor=2)
         ensemble = predict_ensemble(pred, scene, tree, tree.schedule, 2, 9)
-        out = []
-        for mode in ensemble.modes:
-            scen = ensemble.trees[mode.mode_id]
-            calls = [c for c in pred.calls if c[0] is mode]
-            # a tree expands breadth first, each stage in path order
-            expanded = [n for stage in range(3) for n in scen.stage_nodes(stage)]
-            assert [c[1] for c in calls] == [n.stage + 1 for n in expanded]
-            for (_, stage, key, states), node in zip(calls, expanded):
-                out.append((key, stage, node.path, mode.ego_path[: stage + 1], states, scen))
-        return scene, out
+        return tree, scene, ensemble, pred.calls
 
-    def test_keys_equal_exactly_when_the_expansions_are(self):
-        _, expansions = self._expansions()
-        assert len(expansions) == 8 * (1 + 2 + 4)
-        for key_a, *where_a, _, _ in expansions:
-            hash(key_a)
-            for key_b, *where_b, _, _ in expansions:
-                assert (key_a == key_b) == (where_a == where_b)
-        distinct = {e[0] for e in expansions}
-        assert len(expansions) > len(distinct) == len({tuple(e[1:4]) for e in expansions})
+    def test_one_call_per_distinct_key(self):
+        """Each (ego prefix, scenario path) is expanded once: an ego node at
+        stage s >= 1 expands each stage-(s-1) node of its parent, once."""
+        for num_stages, branch in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+            tree, _, ensemble, calls = self._recorded(num_stages, branch)
+            keys = [key for _, key, _ in calls]
+            expected = sum(
+                len(ensemble.tree_for_ego_node(ego.parent_id).stage_nodes(ego.stage - 1))
+                for ego in tree.nodes
+                if ego.stage >= 1
+            )
+            assert len(keys) == len(set(keys)) == expected
+        # 3 stages, branch 2: 2, 4 and 8 ego nodes expand 1, 2 and 4 nodes each
+        assert len(self._recorded(3, 2)[3]) == 2 * 1 + 4 * 2 + 8 * 4
+
+    def test_keys_name_the_expansion(self):
+        """A key is (seed, stage, scenario path, ego prefix) of a node that
+        the ego prefix's parent holds, and the call's stage is the key's."""
+        tree, _, ensemble, calls = self._recorded()
+        for stage, key, _ in calls:
+            hash(key)
+            seed, key_stage, path, prefix = key
+            assert (seed, key_stage) == (9, stage)
+            assert prefix == tree.path_to(prefix[-1]) and tree.node(prefix[-1]).stage == stage
+            assert path in ensemble.tree_for_ego_node(prefix[-2]).nodes and len(path) == stage - 1
 
     def test_states_are_the_end_states_of_the_expanded_node(self):
-        scene, expansions = self._expansions()
-        for _, _, path, _, states, scen in expansions:
-            node = scen.nodes[path]
+        tree, scene, ensemble, calls = self._recorded()
+        for _, (_, _, path, prefix), states in calls:
+            node = ensemble.tree_for_ego_node(prefix[-2]).nodes[path]
             assert states == {aid: traj.end for aid, traj in node.agent_trajectories.items()}
             if path == ():
                 assert states == scene.agents
+
+    def test_modes_sharing_an_ego_prefix_share_its_nodes(self):
+        """Modes through the same stage-s ego node hold the same stage-s node
+        objects; modes that part before stage s hold none in common."""
+        _, _, ensemble, _ = self._recorded()
+        for a in ensemble.modes:
+            for b in ensemble.modes:
+                for s in range(4):
+                    nodes_a = ensemble.trees[a.mode_id].stage_nodes(s)
+                    nodes_b = ensemble.trees[b.mode_id].stage_nodes(s)
+                    shared = a.ego_path[: s + 1] == b.ego_path[: s + 1]
+                    assert [x is y for x, y in zip(nodes_a, nodes_b)] == [shared] * len(nodes_a)
+        # each tree's nodes are inserted by stage, then path
+        for scen in ensemble.trees.values():
+            assert list(scen.nodes) == sorted(scen.nodes, key=lambda p: (len(p), p))
 
     def test_a_predictor_editing_its_states_leaves_the_tree_unchanged(self):
         """Each expansion gets its own dict: overwriting, adding and removing
@@ -617,13 +635,26 @@ class TestAdversarialPredictor:
     def test_future_peeking_predictor_caught(self):
         assert run_adversarial_consistency_case()
 
-    def test_violation_reports_shared_stage(self):
+    def test_leak_is_what_validation_catches(self):
+        """Assembled mode by mode, the kinematic predictor's trees equal the
+        one-walk ensemble's and validate; bound to each mode's end, the
+        peeking predictor's trees differ from stage 1 on."""
         tree, schedule = make_shared_prefix_tree()
         scene = Scene(agents={"a0": AgentState(12.0, 0.0, 4.0, 0.0)})
-        pred = FuturePeekingPredictor(branching_factor=2)
+        honest = predict_per_mode(lambda mode: KinematicPredictor(branching_factor=2), scene, tree, schedule, 2, 3)
+        assert honest == predict_ensemble(KinematicPredictor(branching_factor=2), scene, tree, schedule, 2, 3)
+        validate_causal_consistency(honest)
+        leaking = predict_per_mode(
+            lambda mode: FuturePeekingPredictor(branching_factor=2, future_end=mode.ego_segments[-1].end),
+            scene, tree, schedule, 2, 3,
+        )
         with pytest.raises(CausalConsistencyViolation) as err:
-            predict_ensemble(pred, scene, tree, schedule, 2, 3)
-        assert err.value.stage <= 1
+            validate_causal_consistency(leaking)
+        assert (err.value.stage, err.value.mode_a, err.value.mode_b) == (1, 0, 1)
+
+    def test_peeking_predictor_needs_its_leak(self):
+        with pytest.raises(TypeError):
+            FuturePeekingPredictor(branching_factor=2)
 
 
 class TestPredictorFailure:
